@@ -109,6 +109,17 @@ def join_candidate(df: DataFrame, cand: CandidateJoin, foreign: DataFrame,
     return left_join(df, foreign, cand.base_keys, cand.foreign_keys, cand.prefix)
 
 
+def _join_chain(df: DataFrame, cands: list[CandidateJoin], scenario: Scenario,
+                seed: int) -> DataFrame:
+    """Join ``cands`` onto ``df`` in order, truncating the lineage every
+    ``_CHECKPOINT_EVERY`` joins."""
+    for i, cand in enumerate(cands):
+        df = join_candidate(df, cand, scenario.repo[cand.table], seed=seed)
+        if (i + 1) % _CHECKPOINT_EVERY == 0:
+            df = df.localCheckpoint(eager=True)
+    return df
+
+
 def _apply_tr_prefilter(scenario: Scenario, candidates: list[CandidateJoin],
                         tau: float) -> tuple[list[CandidateJoin], int]:
     n_base = scenario.base.count()
@@ -139,55 +150,32 @@ def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
         candidates, removed = _apply_tr_prefilter(scenario, candidates, cfg.tr_tau)
         info["tr_removed"] = removed
     budget = cfg.budget or size
-    plan = make_plan(candidates, cfg.join_strategy, budget=budget)
+    # An empty plan (no repository, or a TR prefilter that removed every
+    # candidate) still yields one batch: the coreset itself, with no joins.
+    plan = make_plan(candidates, cfg.join_strategy, budget=budget) or [[]]
     info["n_batches"] = len(plan)
 
     drop_cols = list(scenario.key_cols)
     batches: list[Batch] = []
-    if not plan:
-        # Micro-benchmark path (no repository): one batch over the base
-        # table itself — ``base_feature_cols`` are the force-keep "user
-        # table", every other column is augmentation to select over.
-        pdf = coreset.toPandas().sort_values("__row_id")
-        pdf = pdf.drop(columns=[c for c in drop_cols + ["__row_id"] if c in pdf.columns])
-        X, y, names, _ = assemble(pdf, scenario.target, scenario.task)
-        if cfg.coreset_method == "sketch" and len(y) > 0:
-            X, y = sketch_dataset(X, y, ell=min(size, len(y)), task=scenario.task,
-                                  seed=cfg.seed)
-        base_idx = np.array([j for j, nm in enumerate(names)
-                             if _from_cols(nm, scenario.base_feature_cols or [])],
-                            dtype=int)
-        aug_idx = np.array([j for j in range(len(names))
-                            if j not in set(base_idx.tolist())], dtype=int)
-        batches.append(Batch(X, y, names, base_idx, aug_idx, []))
-        info["prepare_time_s"] = time.perf_counter() - t0
-        return batches, info
     for batch in plan:
         df = coreset
-        new_tables = []
-        for i, cand in enumerate(batch):
-            df = join_candidate(df, cand, scenario.repo[cand.table], seed=cfg.seed)
-            new_tables.append(cand.table)
-            if (i + 1) % _CHECKPOINT_EVERY == 0:
-                df = df.localCheckpoint(eager=True)
-        # Truncate the N-join lineage before imputation/encoding: both run
-        # several jobs over the result and would otherwise re-execute the
-        # whole join chain each time.
-        df = df.localCheckpoint(eager=True)
-        aug_cols = [c for c in df.columns if "__" in c and c != "__row_id"]
-        df = impute(df, cols=aug_cols, seed=cfg.seed)
+        tables = [cand.table for cand in batch]
+        if batch:
+            # Truncate the N-join lineage before imputation/encoding: both
+            # run several jobs over the result and would otherwise
+            # re-execute the whole join chain each time.
+            df = _join_chain(df, batch, scenario, cfg.seed).localCheckpoint(eager=True)
+            aug_cols = [c for c in df.columns if "__" in c and c != "__row_id"]
+            df = impute(df, cols=aug_cols, seed=cfg.seed)
         pdf = df.toPandas().sort_values("__row_id")
         pdf = pdf.drop(columns=[c for c in drop_cols + ["__row_id"] if c in pdf.columns])
         X, y, names, _ = assemble(pdf, scenario.target, scenario.task)
         if cfg.coreset_method == "sketch" and len(y) > 0:
             X, y = sketch_dataset(X, y, ell=min(size, len(y)), task=scenario.task,
                                   seed=cfg.seed)
-        base_idx = np.array([j for j, nm in enumerate(names)
-                             if not any(nm.startswith(t + "__") for t in new_tables)],
-                            dtype=int)
-        aug_idx = np.array([j for j in range(len(names)) if j not in set(base_idx)],
-                           dtype=int)
-        batches.append(Batch(X, y, names, base_idx, aug_idx, new_tables))
+        is_base = np.array([_is_base(nm, scenario, tables) for nm in names], dtype=bool)
+        batches.append(Batch(X, y, names, np.flatnonzero(is_base),
+                             np.flatnonzero(~is_base), tables))
     info["prepare_time_s"] = time.perf_counter() - t0
     return batches, info
 
@@ -278,6 +266,17 @@ def _from_cols(name: str, raw_cols: list[str]) -> bool:
                for c in raw_cols)
 
 
+def _is_base(name: str, scenario: Scenario, tables: list[str] | set[str]) -> bool:
+    """True when encoded feature ``name`` belongs to the user's base table:
+    it comes from none of ``tables`` and, in micro-benchmark scenarios
+    (no repository), from one of ``scenario.base_feature_cols`` — every
+    other base column there is augmentation to select over."""
+    if any(name.startswith(t + "__") for t in tables):
+        return False
+    return (scenario.base_feature_cols is None
+            or _from_cols(name, scenario.base_feature_cols))
+
+
 def _tables_of(names: list[str], known_tables: set[str]) -> set[str]:
     out = set()
     for nm in names:
@@ -350,33 +349,25 @@ def final_estimate(spark: SparkSession, scenario: Scenario,
     known = set(scenario.repo.names())
     used_tables = _tables_of(kept_names, known)
     by_table = {c.table: c for c in scenario.candidates}
-    hard = sorted(t for t in used_tables if not by_table[t].soft)
-    soft = sorted(t for t in used_tables if by_table[t].soft)
-    df = scenario.base
-    for i, t in enumerate(soft):
-        df = join_candidate(df, by_table[t], scenario.repo[t], seed=cfg.seed)
-        if (i + 1) % _CHECKPOINT_EVERY == 0:
-            df = df.localCheckpoint(eager=True)
+    hard = [by_table[t] for t in sorted(used_tables) if not by_table[t].soft]
+    soft = [by_table[t] for t in sorted(used_tables) if by_table[t].soft]
+    df = _join_chain(scenario.base, soft, scenario, cfg.seed)
     if len(hard) > _FAST_JOIN_MIN_TABLES:
         pdf = df.toPandas()
-        for t in hard:
-            pdf = _merge_hard_pandas(pdf, by_table[t], scenario.repo.to_pandas(t))
+        for cand in hard:
+            pdf = _merge_hard_pandas(pdf, cand, scenario.repo.to_pandas(cand.table))
         aug_cols = [c for c in pdf.columns if "__" in c]
         pdf = _impute_pandas(pdf, aug_cols, cfg.seed)
         pdf = pdf.drop(columns=[c for c in scenario.key_cols if c in pdf.columns])
         X, y, names, _ = assemble(pdf, scenario.target, scenario.task)
-        return _estimate_from_matrix(scenario, used_tables, kept_names,
-                                     X, y, names, cfg)
-    for i, t in enumerate(hard):
-        df = join_candidate(df, by_table[t], scenario.repo[t], seed=cfg.seed)
-        if (i + 1) % _CHECKPOINT_EVERY == 0:
+    else:
+        df = _join_chain(df, hard, scenario, cfg.seed)
+        aug_cols = [c for c in df.columns if "__" in c]
+        if aug_cols:
             df = df.localCheckpoint(eager=True)
-    aug_cols = [c for c in df.columns if "__" in c]
-    if aug_cols:
-        df = df.localCheckpoint(eager=True)
-        df = impute(df, cols=aug_cols, seed=cfg.seed)
-    df = df.drop(*[c for c in scenario.key_cols if c in df.columns])
-    X, y, names, _ = assemble(df, scenario.target, scenario.task)
+            df = impute(df, cols=aug_cols, seed=cfg.seed)
+        df = df.drop(*[c for c in scenario.key_cols if c in df.columns])
+        X, y, names, _ = assemble(df, scenario.target, scenario.task)
     return _estimate_from_matrix(scenario, used_tables, kept_names,
                                  X, y, names, cfg)
 
@@ -385,14 +376,8 @@ def _estimate_from_matrix(scenario: Scenario, used_tables: set[str],
                           kept_names: list[str], X: np.ndarray, y: np.ndarray,
                           names: list[str], cfg: ArdaConfig) -> tuple[float, int]:
     keep_set = set(kept_names)
-    if scenario.base_feature_cols is not None:
-        # Micro path: the base table itself holds the augmentation columns.
-        cols = [j for j, nm in enumerate(names)
-                if nm in keep_set or _from_cols(nm, scenario.base_feature_cols)]
-    else:
-        cols = [j for j, nm in enumerate(names)
-                if nm in keep_set
-                or not any(nm.startswith(t + "__") for t in used_tables)]
+    cols = [j for j, nm in enumerate(names)
+            if nm in keep_set or _is_base(nm, scenario, used_tables)]
     Xs = X[:, cols]
     strat = y if scenario.task == "cls" else None
     # Average over two holdout splits to damp split noise; within each,

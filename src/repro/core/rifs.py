@@ -13,7 +13,7 @@ accuracy stops increasing monotonically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,28 +24,18 @@ from repro.selectors.base import SelectionResult
 __all__ = ["inject_random_features", "rifs_fractions", "rifs_select", "RIFSConfig"]
 
 
-def inject_random_features(X: np.ndarray, eta: float = 0.2, seed: int = 0,
-                           mode: str = "moment") -> np.ndarray:
+def inject_random_features(X: np.ndarray, eta: float = 0.2, seed: int = 0) -> np.ndarray:
     """Algorithm 2: t = ceil(eta * d) synthetic feature columns (n x t).
 
-    ``moment`` draws from N(mu, Sigma) with the empirical column moments.
+    Columns are drawn from N(mu, Sigma) with the empirical column moments.
     Sigma = (1/d) Ac Ac^T is rank <= d, so a sample is generated as
     mu + Ac g / sqrt(d) with g ~ N(0, I_d) — exact, and never materializes
-    the n x n covariance. Simple modes (normal/uniform/bernoulli) cover
-    the easy regime of §6.1.
+    the n x n covariance.
     """
     X = np.asarray(X, dtype=float)
-    n, d = X.shape
+    d = X.shape[1]
     t = max(1, int(np.ceil(eta * d)))
     rng = np.random.default_rng(seed)
-    if mode == "normal":
-        return rng.normal(size=(n, t))
-    if mode == "uniform":
-        return rng.uniform(-1, 1, size=(n, t))
-    if mode == "bernoulli":
-        return rng.integers(0, 2, size=(n, t)).astype(float)
-    if mode != "moment":
-        raise ValueError(f"unknown injection mode {mode!r}")
     mu = X.mean(axis=1)  # (n,) typical feature vector
     Ac = X - mu[:, None]
     G = rng.normal(size=(d, t))
@@ -58,7 +48,6 @@ class RIFSConfig:
     k: int = 10
     nu: float = 0.5
     thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-    injection_mode: str = "moment"
     seed: int = 0
 
 
@@ -81,8 +70,7 @@ def rifs_fractions(X: np.ndarray, y: np.ndarray, task: str,
     n, d = X.shape
     wins = np.zeros(d)
     for it in range(cfg.k):
-        N = inject_random_features(X, cfg.eta, seed=cfg.seed * 1000 + it,
-                                   mode=cfg.injection_mode)
+        N = inject_random_features(X, cfg.eta, seed=cfg.seed * 1000 + it)
         Xp = np.hstack([X, N])
         agg = rank_fn(Xp, y, task, nu=cfg.nu, seed=cfg.seed * 1000 + it)
         noise_max = agg[d:].max()

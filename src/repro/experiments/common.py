@@ -16,7 +16,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
 import pandas as pd
 
 from repro.core.arda import (ArdaConfig, Batch, _union_batch, final_estimate,
@@ -29,7 +28,8 @@ from repro.selectors.tuple_ratio import tr_filter
 
 __all__ = ["broadcast_joins", "make_cfg", "scenario_sizes", "load",
            "REG_SELECTORS", "CLS_SELECTORS", "selector_list", "run_method",
-           "save_table", "tr_standalone", "automl_rows", "metric_name"]
+           "score_grid", "run_table", "save_table", "tr_standalone",
+           "automl_rows"]
 
 # Paper Table 1 / Table 6 method rows (ours; AutoML rows handled separately)
 _COMMON = ["rifs", "backward_selection", "forward_selection", "rfe",
@@ -104,10 +104,6 @@ def make_cfg(quick: bool, **overrides) -> ArdaConfig:
     return cfg
 
 
-def metric_name(task: str) -> str:
-    return "accuracy" if task == "cls" else "mae"
-
-
 @dataclass
 class MethodResult:
     dataset: str
@@ -137,6 +133,20 @@ def run_method(spark, scenario: Scenario, batches: list[Batch],
         score, n_tables = final_estimate(spark, scenario, kept, cfg)
     return MethodResult(scenario.name, selector, score,
                         time.perf_counter() - t0, len(kept), n_tables, kept)
+
+
+def score_grid(spark, scenario: Scenario, quick: bool, variants: dict[str, dict],
+               selectors: list[str]) -> dict[str, dict[str, float]]:
+    """Final metric per (config variant, selector) — the sweep behind
+    Tables 2, 3 and 5. ``variants`` maps a name to ``make_cfg`` overrides;
+    each variant prepares its batches once and every selector reuses them."""
+    grid: dict[str, dict[str, float]] = {}
+    for variant, overrides in variants.items():
+        cfg = make_cfg(quick, **overrides)
+        batches, _ = prepare_batches(spark, scenario, cfg)
+        grid[variant] = {sel: run_method(spark, scenario, batches, sel, cfg).metric
+                         for sel in selectors}
+    return grid
 
 
 def tr_standalone(spark, scenario: Scenario, cfg: ArdaConfig,
@@ -176,6 +186,21 @@ def automl_rows(spark, scenario: Scenario, batches: list[Batch],
         out.append(MethodResult(scenario.name, tag, metric,
                                 time.perf_counter() - t0, X.shape[1], 0))
     return out
+
+
+def run_table(spark, table: str, names: list[str], quick: bool, rows_fn,
+              profile: str | None = None) -> pd.DataFrame:
+    """Per-dataset driver of every table job: load each scenario, collect
+    ``rows_fn(spark, scenario, quick)``, and rewrite ``results/<table>.csv``
+    after each dataset so a long run keeps its finished rows."""
+    rows: list[dict] = []
+    with broadcast_joins(spark):
+        for name in names:
+            scenario = load(spark, name, quick, profile)
+            rows.extend(rows_fn(spark, scenario, quick))
+            save_table(pd.DataFrame(rows), table)
+            print(f"[{table}] {name}: done ({len(rows)} rows so far)", flush=True)
+    return pd.DataFrame(rows)
 
 
 def save_table(df: pd.DataFrame, name: str) -> str:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.core.arda import prepare_batches
-from repro.experiments.common import (automl_rows, broadcast_joins, load,
-                                      make_cfg, run_method, save_table,
-                                      selector_list, tr_standalone)
+from repro.experiments.common import (automl_rows, make_cfg, run_method,
+                                      run_table, selector_list, tr_standalone)
 
 DATASETS = ["taxi", "pickup", "poverty", "school_s", "school_l"]
 # TR standalone threshold per dataset (Table 4 tunes tau per dataset; at
@@ -22,23 +21,18 @@ TR_TAU = {"taxi": 5.0, "pickup": 2.0, "poverty": 1.5,
           "school_s": 1.5, "school_l": 1.5}
 
 
+def _rows(spark, scenario, quick: bool) -> list[dict]:
+    cfg = make_cfg(quick)
+    batches, _ = prepare_batches(spark, scenario, cfg)
+    rows = [run_method(spark, scenario, batches, "baseline", cfg).row(),
+            run_method(spark, scenario, batches, "all_features", cfg).row()]
+    for r in automl_rows(spark, scenario, batches, cfg, budget_s=5 if quick else 20):
+        rows.append(r.row())
+    rows.append(tr_standalone(spark, scenario, cfg, TR_TAU[scenario.name]).row())
+    for sel in selector_list(scenario.task):
+        rows.append(run_method(spark, scenario, batches, sel, cfg).row())
+    return rows
+
+
 def run(spark, quick: bool = False, only: list[str] | None = None) -> pd.DataFrame:
-    rows = []
-    with broadcast_joins(spark):
-        for name in (only or DATASETS):
-            scenario = load(spark, name, quick)
-            cfg = make_cfg(quick)
-            batches, info = prepare_batches(spark, scenario, cfg)
-            rows.append(run_method(spark, scenario, batches, "baseline", cfg).row())
-            rows.append(run_method(spark, scenario, batches, "all_features", cfg).row())
-            for r in automl_rows(spark, scenario, batches, cfg,
-                                 budget_s=5 if quick else 20):
-                rows.append(r.row())
-            rows.append(tr_standalone(spark, scenario, cfg, TR_TAU[name]).row())
-            for sel in selector_list(scenario.task):
-                rows.append(run_method(spark, scenario, batches, sel, cfg).row())
-            save_table(pd.DataFrame(rows), "table1_real_world")  # incremental flush
-            print(f"[table1] {name}: done ({len(rows)} rows so far)", flush=True)
-    df = pd.DataFrame(rows)
-    save_table(df, "table1_real_world")
-    return df
+    return run_table(spark, "table1_real_world", only or DATASETS, quick, _rows)

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.core.arda import prepare_batches
-from repro.experiments.common import (broadcast_joins, load, make_cfg,
-                                      run_method, save_table)
+from repro.experiments.common import run_table, score_grid
 
 DATASETS = ["school_s", "digits", "kraken"]
 SELECTORS = ["f_test", "mutual_info", "random_forest", "sparse_regression",
@@ -18,31 +16,17 @@ SELECTORS = ["f_test", "mutual_info", "random_forest", "sparse_regression",
 METHODS = ["uniform", "stratified", "sketch"]
 
 
+def _rows(spark, scenario, quick: bool) -> list[dict]:
+    grid = score_grid(spark, scenario, quick,
+                      {m: {"coreset_method": m} for m in METHODS}, SELECTORS)
+    uniform = grid["uniform"]
+    return [{"dataset": scenario.name, "method": sel,
+             "uniform_acc": uniform[sel],
+             "stratified_delta_pp": 100 * (grid["stratified"][sel] - uniform[sel]),
+             "sketch_delta_pp": 100 * (grid["sketch"][sel] - uniform[sel])}
+            for sel in SELECTORS]
+
+
 def run(spark, quick: bool = False, only: list[str] | None = None) -> pd.DataFrame:
-    raw = []
-    with broadcast_joins(spark):
-        for name in (only or DATASETS):
-            scenario = load(spark, name, quick, profile="medium")
-            per_method: dict[str, dict[str, float]] = {}
-            for method in METHODS:
-                cfg = make_cfg(quick, coreset_method=method)
-                batches, _ = prepare_batches(spark, scenario, cfg)
-                scores = {}
-                for sel in SELECTORS:
-                    r = run_method(spark, scenario, batches, sel, cfg)
-                    scores[sel] = r.metric
-                per_method[method] = scores
-            for sel in SELECTORS:
-                raw.append({
-                    "dataset": name, "method": sel,
-                    "uniform_acc": per_method["uniform"][sel],
-                    "stratified_delta_pp":
-                        100 * (per_method["stratified"][sel] - per_method["uniform"][sel]),
-                    "sketch_delta_pp":
-                        100 * (per_method["sketch"][sel] - per_method["uniform"][sel]),
-                })
-            save_table(pd.DataFrame(raw), "table2_coresets")  # incremental flush
-            print(f"[table2] {name}: done", flush=True)
-    df = pd.DataFrame(raw)
-    save_table(df, "table2_coresets")
-    return df
+    return run_table(spark, "table2_coresets", only or DATASETS, quick, _rows,
+                     profile="medium")

@@ -8,37 +8,25 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.core.arda import prepare_batches
-from repro.experiments.common import (broadcast_joins, load, make_cfg,
-                                      pct_change_score, run_method, save_table)
+from repro.experiments.common import pct_change_score, run_table, score_grid
 
 DATASETS = ["taxi", "pickup", "poverty"]
 SELECTORS = ["rifs", "sparse_regression", "f_test", "lasso", "mutual_info",
              "relief", "all_features", "random_forest", "forward_selection"]
 
 
+def _rows(spark, scenario, quick: bool) -> list[dict]:
+    grid = score_grid(spark, scenario, quick,
+                      {m: {"coreset_method": m} for m in ("uniform", "sketch")},
+                      SELECTORS)
+    return [{"dataset": scenario.name, "method": sel,
+             "uniform_mae": grid["uniform"][sel],
+             "sketch_mae": grid["sketch"][sel],
+             "sketch_delta_pct": pct_change_score(
+                 "reg", grid["sketch"][sel], grid["uniform"][sel])}
+            for sel in SELECTORS]
+
+
 def run(spark, quick: bool = False, only: list[str] | None = None) -> pd.DataFrame:
-    raw = []
-    with broadcast_joins(spark):
-        for name in (only or DATASETS):
-            scenario = load(spark, name, quick, profile="medium")
-            scores = {}
-            for method in ("uniform", "sketch"):
-                cfg = make_cfg(quick, coreset_method=method)
-                batches, _ = prepare_batches(spark, scenario, cfg)
-                scores[method] = {
-                    sel: run_method(spark, scenario, batches, sel, cfg).metric
-                    for sel in SELECTORS}
-            for sel in SELECTORS:
-                raw.append({
-                    "dataset": name, "method": sel,
-                    "uniform_mae": scores["uniform"][sel],
-                    "sketch_mae": scores["sketch"][sel],
-                    "sketch_delta_pct": pct_change_score(
-                        "reg", scores["sketch"][sel], scores["uniform"][sel]),
-                })
-            save_table(pd.DataFrame(raw), "table3_sketching")  # incremental flush
-            print(f"[table3] {name}: done", flush=True)
-    df = pd.DataFrame(raw)
-    save_table(df, "table3_sketching")
-    return df
+    return run_table(spark, "table3_sketching", only or DATASETS, quick, _rows,
+                     profile="medium")

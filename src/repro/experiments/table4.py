@@ -14,45 +14,39 @@ import numpy as np
 import pandas as pd
 
 from repro.core.arda import final_estimate, prepare_batches, run_selector
-from repro.experiments.common import (broadcast_joins, load, make_cfg,
-                                      pct_change_score, save_table)
+from repro.experiments.common import make_cfg, pct_change_score, run_table
 from repro.selectors.tuple_ratio import tr_filter
 
 DATASETS = ["taxi", "pickup", "poverty", "school_s", "school_l"]
 
 
+def _rows(spark, scenario, quick: bool) -> list[dict]:
+    n_base = scenario.base.count()
+    ratios = [d.ratio for d in tr_filter(
+        n_base, scenario.candidates, scenario.repo.tables, tau=np.inf)]
+    tau = float(np.quantile(ratios, 0.45))  # removes the worst ~55%
+
+    def pipeline(tr_tau):
+        t0 = time.perf_counter()
+        c = make_cfg(quick, tr_tau=tr_tau)
+        batches, info = prepare_batches(spark, scenario, c)
+        kept, _, _ = run_selector(batches, "rifs", scenario.task, c)
+        score, _ = final_estimate(spark, scenario, kept, c)
+        return score, time.perf_counter() - t0, info.get("tr_removed", 0)
+
+    base_score, base_t, _ = pipeline(None)
+    filt_score, filt_t, removed = pipeline(tau)
+    return [{
+        "dataset": scenario.name,
+        "score_change_pct": pct_change_score(scenario.task, filt_score, base_score),
+        "speedup_x": base_t / max(filt_t, 1e-9),
+        "tables_removed": removed,
+        "tau": tau,
+        "unfiltered_metric": base_score,
+        "filtered_metric": filt_score,
+    }]
+
+
 def run(spark, quick: bool = False, only: list[str] | None = None) -> pd.DataFrame:
-    rows = []
-    with broadcast_joins(spark):
-        for name in (only or DATASETS):
-            scenario = load(spark, name, quick, profile="medium")
-            cfg = make_cfg(quick)
-            n_base = scenario.base.count()
-            ratios = [d.ratio for d in tr_filter(
-                n_base, scenario.candidates, scenario.repo.tables, tau=np.inf)]
-            tau = float(np.quantile(ratios, 0.45))  # removes the worst ~55%
-
-            def pipeline(tr_tau):
-                t0 = time.perf_counter()
-                c = make_cfg(quick, tr_tau=tr_tau)
-                batches, info = prepare_batches(spark, scenario, c)
-                kept, _, _ = run_selector(batches, "rifs", scenario.task, c)
-                score, _ = final_estimate(spark, scenario, kept, c)
-                return score, time.perf_counter() - t0, info.get("tr_removed", 0)
-
-            base_score, base_t, _ = pipeline(None)
-            filt_score, filt_t, removed = pipeline(tau)
-            rows.append({
-                "dataset": name,
-                "score_change_pct": pct_change_score(scenario.task, filt_score, base_score),
-                "speedup_x": base_t / max(filt_t, 1e-9),
-                "tables_removed": removed,
-                "tau": tau,
-                "unfiltered_metric": base_score,
-                "filtered_metric": filt_score,
-            })
-            save_table(pd.DataFrame(rows), "table4_tuple_ratio")  # incremental flush
-            print(f"[table4] {name}: done", flush=True)
-    df = pd.DataFrame(rows)
-    save_table(df, "table4_tuple_ratio")
-    return df
+    return run_table(spark, "table4_tuple_ratio", only or DATASETS, quick, _rows,
+                     profile="medium")

@@ -9,40 +9,26 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.core.arda import final_estimate, prepare_batches, run_selector
-from repro.experiments.common import (broadcast_joins, load, make_cfg,
-                                      pct_change_score, save_table)
+from repro.experiments.common import pct_change_score, run_table, score_grid
 
 DATASETS = ["taxi", "pickup", "poverty", "school_s"]
 SELECTORS = ["rifs", "forward_selection", "random_forest", "sparse_regression"]
 STRATEGIES = ["budget", "table", "full"]
 
 
+def _rows(spark, scenario, quick: bool) -> list[dict]:
+    grid = score_grid(spark, scenario, quick,
+                      {s: {"join_strategy": s} for s in STRATEGIES}, SELECTORS)
+    budget = grid["budget"]
+    return [{"dataset": scenario.name, "method": sel,
+             "budget_metric": budget[sel],
+             "table_delta_pct": pct_change_score(
+                 scenario.task, grid["table"][sel], budget[sel]),
+             "fullmat_delta_pct": pct_change_score(
+                 scenario.task, grid["full"][sel], budget[sel])}
+            for sel in SELECTORS]
+
+
 def run(spark, quick: bool = False, only: list[str] | None = None) -> pd.DataFrame:
-    raw = []
-    with broadcast_joins(spark):
-        for name in (only or DATASETS):
-            scenario = load(spark, name, quick, profile="medium")
-            scores: dict[str, dict[str, float]] = {}
-            for strat in STRATEGIES:
-                cfg = make_cfg(quick, join_strategy=strat)
-                batches, _ = prepare_batches(spark, scenario, cfg)
-                scores[strat] = {}
-                for sel in SELECTORS:
-                    kept, _, _ = run_selector(batches, sel, scenario.task, cfg)
-                    s, _ = final_estimate(spark, scenario, kept, cfg)
-                    scores[strat][sel] = s
-            for sel in SELECTORS:
-                raw.append({
-                    "dataset": name, "method": sel,
-                    "budget_metric": scores["budget"][sel],
-                    "table_delta_pct": pct_change_score(
-                        scenario.task, scores["table"][sel], scores["budget"][sel]),
-                    "fullmat_delta_pct": pct_change_score(
-                        scenario.task, scores["full"][sel], scores["budget"][sel]),
-                })
-            save_table(pd.DataFrame(raw), "table5_grouping")  # incremental flush
-            print(f"[table5] {name}: done", flush=True)
-    df = pd.DataFrame(raw)
-    save_table(df, "table5_grouping")
-    return df
+    return run_table(spark, "table5_grouping", only or DATASETS, quick, _rows,
+                     profile="medium")

@@ -10,7 +10,7 @@ Invariants enforced here:
   never collides.
 
 Composite (multi-column) keys are plain lists; soft keys are handled in
-``repro.joins.soft`` and dispatched from ``augment_join``.
+``repro.joins.soft`` and dispatched from ``repro.core.arda.join_candidate``.
 """
 from __future__ import annotations
 
@@ -47,17 +47,16 @@ def prefix_columns(df: DataFrame, prefix: str, exclude: list[str]) -> DataFrame:
 
 
 def left_join(base: DataFrame, foreign: DataFrame, base_keys: list[str],
-              foreign_keys: list[str], prefix: str,
-              deduplicate: bool = True) -> DataFrame:
+              foreign_keys: list[str], prefix: str) -> DataFrame:
     """LEFT-join ``foreign`` onto ``base`` on (possibly composite) keys.
 
-    ``deduplicate`` pre-aggregates the foreign side so the join is
-    many-to-one and cannot duplicate base rows. Join keys on the foreign
-    side are dropped after the join (the base copy stays).
+    The foreign side is pre-aggregated so the join is many-to-one and
+    cannot duplicate base rows. Join keys on the foreign side are dropped
+    after the join (the base copy stays).
     """
     if len(base_keys) != len(foreign_keys) or not base_keys:
         raise ValueError("base_keys and foreign_keys must be equal-length, non-empty")
-    f = preaggregate(foreign, foreign_keys) if deduplicate else foreign
+    f = preaggregate(foreign, foreign_keys)
     f = prefix_columns(f, prefix, exclude=[])
     pf_keys = [f"{prefix}__{k}" for k in foreign_keys]
     cond = None

@@ -353,12 +353,11 @@ def kraken(spark: SparkSession, seed: int = 4, with_noise: bool = True) -> Scena
     pdf["failure"] = y
     # the "user's base table" is four uninformative housekeeping sensors —
     # baseline accuracy sits near the majority-class rate, as in the paper
-    sc = Scenario(name="kraken", task="cls", base=spark.createDataFrame(pdf),
-                  target="failure", repo=DataRepository(), candidates=[],
-                  signal_tables=set(), key_cols=[],
-                  base_feature_cols=feat_cols[16:20])
-    sc.__dict__["original_features"] = feat_cols
-    return sc
+    return Scenario(name="kraken", task="cls", base=spark.createDataFrame(pdf),
+                    target="failure", repo=DataRepository(), candidates=[],
+                    signal_tables=set(), key_cols=[],
+                    base_feature_cols=feat_cols[16:20],
+                    original_features=feat_cols)
 
 
 def digits(spark: SparkSession, seed: int = 5, with_noise: bool = True) -> Scenario:
@@ -389,12 +388,11 @@ def digits(spark: SparkSession, seed: int = 5, with_noise: bool = True) -> Scena
     pdf["digit"] = y[perm]
     # base table = the 6 pixels whose prototypes vary least across classes
     weak = np.argsort(protos.std(axis=0))[:6]
-    sc = Scenario(name="digits", task="cls", base=spark.createDataFrame(pdf),
-                  target="digit", repo=DataRepository(), candidates=[],
-                  signal_tables=set(), key_cols=[],
-                  base_feature_cols=[feat_cols[i] for i in sorted(weak)])
-    sc.__dict__["original_features"] = feat_cols
-    return sc
+    return Scenario(name="digits", task="cls", base=spark.createDataFrame(pdf),
+                    target="digit", repo=DataRepository(), candidates=[],
+                    signal_tables=set(), key_cols=[],
+                    base_feature_cols=[feat_cols[i] for i in sorted(weak)],
+                    original_features=feat_cols)
 
 
 SCENARIOS = {"taxi": taxi, "pickup": pickup, "poverty": poverty,

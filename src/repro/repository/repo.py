@@ -66,3 +66,6 @@ class Scenario:
     # this column subset; every other column in ``base`` (remaining original
     # features + planted noise) counts as augmentation to be selected over.
     base_feature_cols: list[str] | None = None
+    # Micro-benchmark scenarios: the generator's real feature columns; the
+    # rest of ``base`` (besides the target) is planted noise.
+    original_features: list[str] = field(default_factory=list)

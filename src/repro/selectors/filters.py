@@ -1,15 +1,8 @@
 """Filter-model feature scores: F-test, mutual information, Pearson.
 
-Each score has two implementations with identical semantics:
-
-* a vectorized numpy path used on coreset-sized matrices inside the
-  selection loops, and
-* a distributed Spark path (`*_spark`) expressed as DataFrame
-  aggregations — per-feature sufficient statistics via one wide agg
-  (F-test / Pearson) or a melt + groupBy contingency count followed by a
-  per-feature ``applyInPandas`` reduction (mutual information). The Spark
-  paths exist so the scores can be computed over the *full* joined table
-  without collecting it; tests assert both paths agree.
+Vectorized numpy scores over coreset-sized matrices, called inside the
+selection loops (Pearson backs the regression F-test; it is not a ranker
+of its own).
 
 For regression targets the F statistic is the univariate regression
 F = (n-2) r^2 / (1 - r^2); for classification it is the one-way ANOVA F.
@@ -21,13 +14,11 @@ import numpy as np
 
 from repro.selectors.base import register_ranker
 
-__all__ = ["f_scores", "mutual_info_scores", "pearson_scores",
-           "f_scores_spark", "mutual_info_spark"]
+__all__ = ["f_scores", "mutual_info_scores", "pearson_scores"]
 
 _MI_BINS = 12
 
 
-# --------------------------------------------------------------- numpy paths
 def pearson_scores(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -97,96 +88,6 @@ def mutual_info_scores(X: np.ndarray, y: np.ndarray, task: str,
     return out
 
 
-# --------------------------------------------------------------- spark paths
-def f_scores_spark(df, feature_cols: list[str], label_col: str, task: str) -> np.ndarray:
-    """F scores from per-feature sufficient statistics computed by Catalyst.
-
-    One aggregation pass collects n, sum(x), sum(x^2) (per class for
-    classification; plus sum(x*y), sum(y), sum(y^2) for regression) —
-    no data is collected to the driver beyond the statistics row(s).
-    """
-    from pyspark.sql import functions as F
-
-    if task == "reg":
-        aggs = [F.count(F.lit(1)).alias("__n"),
-                F.sum(F.col(label_col)).alias("__sy"),
-                F.sum(F.col(label_col) ** 2).alias("__syy")]
-        for i, c in enumerate(feature_cols):
-            x = F.col(c).cast("double")
-            aggs += [F.sum(x).alias(f"sx_{i}"), F.sum(x * x).alias(f"sxx_{i}"),
-                     F.sum(x * F.col(label_col)).alias(f"sxy_{i}")]
-        row = df.agg(*aggs).collect()[0]
-        n, sy, syy = row["__n"], row["__sy"], row["__syy"]
-        out = np.zeros(len(feature_cols))
-        vy = syy - sy * sy / n
-        for i in range(len(feature_cols)):
-            sx, sxx, sxy = row[f"sx_{i}"], row[f"sxx_{i}"], row[f"sxy_{i}"]
-            vx = sxx - sx * sx / n
-            cov = sxy - sx * sy / n
-            r2 = 0.0 if vx <= 0 or vy <= 0 else min(cov * cov / (vx * vy), 1 - 1e-12)
-            out[i] = (n - 2) * r2 / (1 - r2)
-        return out
-    aggs = [F.count(F.lit(1)).alias("__n")]
-    for i, c in enumerate(feature_cols):
-        x = F.col(c).cast("double")
-        aggs += [F.sum(x).alias(f"sx_{i}"), F.sum(x * x).alias(f"sxx_{i}")]
-    per_class = df.groupBy(label_col).agg(*aggs).collect()
-    k = len(per_class)
-    n = sum(r["__n"] for r in per_class)
-    out = np.zeros(len(feature_cols))
-    if k < 2 or n <= k:
-        return out
-    for i in range(len(feature_cols)):
-        tot_s = sum(r[f"sx_{i}"] for r in per_class)
-        grand = tot_s / n
-        ssb = sum(r["__n"] * (r[f"sx_{i}"] / r["__n"] - grand) ** 2 for r in per_class)
-        ssw = sum(r[f"sxx_{i}"] - r[f"sx_{i}"] ** 2 / r["__n"] for r in per_class)
-        out[i] = 0.0 if ssw <= 0 else (ssb / (k - 1)) / (ssw / (n - k))
-    return out
-
-
-def mutual_info_spark(df, feature_cols: list[str], label_col: str, task: str,
-                      bins: int = _MI_BINS) -> np.ndarray:
-    """Distributed MI: quantile-bin every column with ``approxQuantile``
-    fused into a melt (stack) -> groupBy(feature, xbin, ybin).count()
-    contingency table, then a per-feature applyInPandas MI reduction."""
-    import pandas as pd
-    from pyspark.sql import functions as F
-
-    probs = list(np.linspace(0, 1, bins + 1)[1:-1])
-    label_edges = (df.approxQuantile(label_col, probs, 0.001)
-                   if task == "reg" else None)
-    feat_edges = dict(zip(feature_cols,
-                          df.approxQuantile(feature_cols, probs, 0.001)))
-
-    def bin_expr(col, edges):
-        e = F.array(*[F.lit(float(v)) for v in edges])
-        # searchsorted(left): count of edges strictly below the value
-        return F.aggregate(e, F.lit(0),
-                           lambda acc, x: acc + F.when(F.col(col) > x, 1).otherwise(0))
-
-    ycol = (bin_expr(label_col, label_edges) if task == "reg"
-            else F.col(label_col).cast("string"))
-    stacked = df.select(
-        ycol.alias("__ybin"),
-        F.explode(F.array(*[
-            F.struct(F.lit(c).alias("feature"), bin_expr(c, feat_edges[c]).alias("xbin"))
-            for c in feature_cols])).alias("fx"))
-    cont = (stacked.select("__ybin", "fx.feature", "fx.xbin")
-            .groupBy("feature", "xbin", "__ybin").count())
-
-    def mi_of(pdf: pd.DataFrame) -> pd.DataFrame:
-        piv = pdf.pivot_table(index="xbin", columns="__ybin", values="count",
-                              aggfunc="sum", fill_value=0).to_numpy(dtype=float)
-        return pd.DataFrame({"feature": [pdf["feature"].iloc[0]],
-                             "mi": [_mi_from_joint(piv)]})
-
-    rows = (cont.groupBy("feature")
-            .applyInPandas(mi_of, schema="feature string, mi double").collect())
-    got = {r["feature"]: r["mi"] for r in rows}
-    return np.array([got.get(c, 0.0) for c in feature_cols])
-
-
 # ----------------------------------------------------------------- registry
 @register_ranker("f_test")
 def _f_test_ranker(X, y, task, seed=0):
@@ -197,7 +98,3 @@ def _f_test_ranker(X, y, task, seed=0):
 def _mi_ranker(X, y, task, seed=0):
     return mutual_info_scores(X, y, task)
 
-
-@register_ranker("pearson")
-def _pearson_ranker(X, y, task, seed=0):
-    return pearson_scores(X, np.unique(y, return_inverse=True)[1] if task == "cls" else y)

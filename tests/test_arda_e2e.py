@@ -119,6 +119,20 @@ class TestStrategies:
         batches, info = prepare_batches(spark, school, cfg)
         assert info["tr_removed"] > 0
 
+    def test_tr_prefilter_removing_every_table_keeps_base(self, spark):
+        # tau = 0 removes every candidate: the coreset is one batch with no
+        # joins, every base feature is force-kept and nothing is selectable
+        sc = datasets.school_s(spark, n_schools=300)
+        cfg = ArdaConfig(coreset_size=200, tr_tau=0.0, rifs=RIFSConfig(k=3),
+                         eval_trees=10)
+        batches, info = prepare_batches(spark, sc, cfg)
+        assert info["tr_removed"] == len(sc.candidates)
+        assert info["n_batches"] == len(batches) == 1
+        b = batches[0]
+        assert len(b.aug_idx) == 0 and len(b.base_idx) == len(b.names) > 0
+        kept, _, _ = run_selector(batches, "rifs", "cls", cfg)
+        assert kept == []
+
 
 class TestRunArda:
     def test_single_shot_rifs(self, spark, school):

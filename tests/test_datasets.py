@@ -142,7 +142,7 @@ class TestMicro:
 
     def test_micro_ground_truth_recorded(self, spark):
         sc = datasets.kraken(spark)
-        assert len(sc.__dict__["original_features"]) == 20
+        assert len(sc.original_features) == 20
         assert sc.base_feature_cols is not None
 
 

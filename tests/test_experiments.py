@@ -7,7 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.experiments import common, table4, table5, table6
+from repro.experiments import common, table2, table3, table4, table5, table6
 
 
 class TestHelpers:
@@ -35,10 +35,6 @@ class TestHelpers:
     def test_make_cfg_overrides(self):
         cfg = common.make_cfg(True, coreset_method="sketch", budget=99)
         assert cfg.coreset_method == "sketch" and cfg.budget == 99
-
-    def test_metric_name(self):
-        assert common.metric_name("cls") == "accuracy"
-        assert common.metric_name("reg") == "mae"
 
     def test_broadcast_joins_restores(self, spark):
         key = "spark.sql.autoBroadcastJoinThreshold"
@@ -68,6 +64,24 @@ class TestRunsQuick:
         assert by.loc["rifs", "metric"] > by.loc["baseline", "metric"]
         assert by.loc["rifs", "n_noise_kept"] <= by.loc["rifs", "n_selected"]
         assert {"baseline", "all_features", "automl_base", "automl_all"} <= set(df["method"])
+
+    def test_table2_kraken(self, spark, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(table2, "SELECTORS", ["f_test"])
+        df = table2.run(spark, quick=True, only=["kraken"])
+        assert list(df.columns) == ["dataset", "method", "uniform_acc",
+                                    "stratified_delta_pp", "sketch_delta_pp"]
+        assert df["method"].tolist() == ["f_test"]
+        assert np.isfinite(df[["stratified_delta_pp", "sketch_delta_pp"]]).all(axis=None)
+
+    def test_table3_taxi(self, spark, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(table3, "SELECTORS", ["f_test"])
+        df = table3.run(spark, quick=True, only=["taxi"])
+        assert list(df.columns) == ["dataset", "method", "uniform_mae",
+                                    "sketch_mae", "sketch_delta_pct"]
+        assert df["method"].tolist() == ["f_test"]
+        assert np.isfinite(df["sketch_delta_pct"]).all()
 
     def test_table5_poverty_single_selector(self, spark, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

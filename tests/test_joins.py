@@ -81,10 +81,6 @@ class TestLeftJoin:
         assert (out["id"] == 1).sum() == 1
         assert out.loc[out["id"] == 1, "F__v"].iloc[0] == pytest.approx(150.0)
 
-    def test_without_dedup_duplicates(self, base, foreign):
-        out = left_join(base, foreign, ["id"], ["fid"], "F", deduplicate=False)
-        assert out.count() == 6
-
     def test_composite_key_join(self, spark):
         b = spark.createDataFrame(pd.DataFrame({
             "k1": [1, 1, 2], "k2": ["a", "b", "a"], "x": [1.0, 2.0, 3.0]}))

@@ -41,20 +41,12 @@ class TestInjection:
         N = inject_random_features(X, eta=0.2, seed=0)
         assert N.shape == (500, int(np.ceil(0.2 * 66)))
 
-    def test_modes(self, planted):
-        X, _ = planted
-        for mode in ("normal", "uniform", "bernoulli", "moment"):
-            N = inject_random_features(X, 0.1, seed=1, mode=mode)
-            assert N.shape[0] == X.shape[0]
-        with pytest.raises(ValueError):
-            inject_random_features(X, 0.1, mode="bogus")
-
     def test_moment_matching_mean(self):
         # injected features should cluster around the empirical mean
         # feature vector mu = row means
         rng = np.random.default_rng(0)
         X = rng.normal(size=(200, 40)) + 3.0
-        N = inject_random_features(X, eta=2.0, seed=0, mode="moment")
+        N = inject_random_features(X, eta=2.0, seed=0)
         mu = X.mean(axis=1)
         np.testing.assert_allclose(N.mean(axis=1), mu, atol=0.6)
 
@@ -63,11 +55,6 @@ class TestInjection:
         a = inject_random_features(X, 0.2, seed=5)
         b = inject_random_features(X, 0.2, seed=5)
         np.testing.assert_array_equal(a, b)
-
-    def test_bernoulli_binary(self, planted):
-        X, _ = planted
-        N = inject_random_features(X, 0.1, seed=0, mode="bernoulli")
-        assert set(np.unique(N)) <= {0.0, 1.0}
 
 
 class TestEnsemble:

@@ -31,7 +31,7 @@ def cls_data():
 
 class TestRegistry:
     def test_all_expected_rankers_registered(self):
-        expect = {"f_test", "mutual_info", "pearson", "random_forest", "lasso",
+        expect = {"f_test", "mutual_info", "random_forest", "lasso",
                   "logistic_reg", "linear_svc", "sparse_regression", "relief"}
         assert expect <= set(RANKERS)
 
@@ -54,9 +54,8 @@ class TestRegistry:
         with pytest.raises(ValueError):
             rank_scores("logistic_reg", reg_data[0], reg_data[1], "reg")
 
-    @pytest.mark.parametrize("name", ["f_test", "mutual_info", "pearson",
-                                      "random_forest", "sparse_regression",
-                                      "relief", "lasso"])
+    @pytest.mark.parametrize("name", ["f_test", "mutual_info", "random_forest",
+                                      "sparse_regression", "relief", "lasso"])
     def test_reg_rankers_find_signal(self, name, reg_data):
         X, y = reg_data
         s = rank_scores(name, X, y, "reg")
