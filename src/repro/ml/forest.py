@@ -5,9 +5,11 @@ ranking / estimation model — a Random Forest — is implemented here from
 scratch in numpy (DESIGN.md §2). Design choices:
 
 * Features are quantile-binned once per fit into ``n_bins`` uint8 bins;
-  split search then works on histograms, so the per-node cost is a single
-  ``np.bincount`` over (samples-in-node x candidate-features) flattened
-  codes — no per-feature Python loop.
+  split search then works on histograms. Trees grow level by level: every
+  node of one depth draws its own candidate features, and one
+  ``np.bincount`` per tree depth over (node, feature slot, bin[, class])
+  codes builds all their histograms — no per-node or per-feature Python
+  loop.
 * Impurity: variance (regression) / Gini (classification). Feature
   importances are impurity-decrease sums, normalized to 1 — the quantity
   RIFS uses as the Random-Forest half of its ranking ensemble (§6.2).
@@ -72,6 +74,67 @@ def _bin_matrix(X: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out
 
 
+# Cap on the (node, slot, bin[, class]) cells one histogram pass builds; a
+# wider frontier (10-class data, many candidate features) is scored in
+# node chunks so per-depth temporaries stay at a few tens of MB.
+_MAX_HIST_CELLS = 1 << 20
+
+
+def _best_splits(sub: np.ndarray, node: np.ndarray, y: np.ndarray, m: np.ndarray,
+                 n_bins: int, n_classes: int, msl: int):
+    """Best split of every frontier node from one histogram ``bincount``.
+
+    ``sub`` (rows x k) holds each row's bins for the k candidate features
+    drawn for its node, ``node`` the row's node in ``[0, len(m))`` and
+    ``m`` the node sizes. ``n_classes == 0`` scores variance (regression),
+    otherwise Gini. A split needs ``min_samples_leaf`` rows on each side
+    and never sits at the last bin. Returns per node the best score, the
+    parent score, and the winning candidate slot and threshold bin.
+    """
+    k = sub.shape[1]
+    step = max(1, _MAX_HIST_CELLS // (k * n_bins * max(n_classes, 1)))
+    out = []
+    for a in range(0, len(m), step):
+        b = min(len(m), a + step)
+        sel = slice(None) if b - a == len(m) else (node >= a) & (node < b)
+        mc = m[a:b, None, None]
+        codes = ((node[sel, None] - a) * k + np.arange(k)) * n_bins + sub[sel]
+        size = (b - a) * k * n_bins
+        if n_classes:
+            # Class-major cells. Counts stay integers, so every sum below is
+            # exact in any order, and sum_c (tot_c - cum_c)^2 may be expanded.
+            codes += y[sel][:, None] * size
+            hist = np.bincount(codes.ravel(), minlength=size * n_classes)
+            cum = hist.reshape(n_classes, b - a, k, n_bins).cumsum(axis=3)
+            tot = cum[..., -1]
+            nl = cum.sum(axis=0)
+            nr = mc - nl
+            sq_l = np.einsum("c...,c...->...", cum, cum)
+            sq_tot = np.einsum("cns,cns->ns", tot, tot)
+            sq_r = sq_tot[..., None] - 2 * np.einsum("cnsb,cns->nsb", cum, tot) + sq_l
+            # Gini gain proxy: sum_c nl_c^2/nl + nr_c^2/nr  (maximize)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = sq_l / nl + sq_r / nr
+            parent = sq_tot[:, 0] / mc[:, 0, 0]
+        else:
+            flat = codes.ravel()
+            w = np.broadcast_to(y[sel][:, None], codes.shape).ravel()
+            nl = np.bincount(flat, minlength=size).reshape(b - a, k, n_bins).cumsum(axis=2)
+            sl = np.bincount(flat, weights=w, minlength=size).reshape(b - a, k, n_bins)
+            sl = sl.cumsum(axis=2)
+            nr = mc - nl
+            sr = sl[:, :, -1:] - sl
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = sl**2 / nl + sr**2 / nr
+            parent = sl[:, 0, -1] ** 2 / mc[:, 0, 0]
+        score = np.where((nl >= msl) & (nr >= msl), score, -np.inf)
+        score[:, :, -1] = -np.inf  # last bin = no split
+        j = score.reshape(b - a, -1).argmax(axis=1)
+        out.append((score.reshape(b - a, -1)[np.arange(b - a), j], parent,
+                    j // n_bins, j % n_bins))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
 @dataclass
 class RandomForest:
     """Random forest over numeric feature matrices.
@@ -122,91 +185,72 @@ class RandomForest:
         return self
 
     def _fit_tree(self, B: np.ndarray, y: np.ndarray, seed: int) -> Tree:
+        """Grow one tree on a bootstrap of ``(B, y)``, one depth at a time.
+
+        Every node of the current depth (the frontier) is handled at once:
+        one ``bincount`` gives node sizes and leaf values, one draw picks
+        each splittable node's candidate features and ``_best_splits``
+        scores all their histograms together. Rows keep their bootstrap
+        order throughout, so every histogram cell sums its rows in the
+        order a node-by-node grower would.
+        """
         rng = np.random.default_rng(seed)
         n, d = B.shape
-        boot = rng.integers(0, n, n)
+        rows = rng.integers(0, n, n)  # bootstrap; later the frontier's rows
         k = self._k_features(d)
-        n_classes = len(self.classes_) if self.task == "cls" else 0
-        max_nodes = 2 ** (self.max_depth + 1) + 1
-        feature = np.full(max_nodes, -1, dtype=np.int32)
-        thr_bin = np.zeros(max_nodes, dtype=np.int32)
-        left = np.zeros(max_nodes, dtype=np.int32)
-        right = np.zeros(max_nodes, dtype=np.int32)
-        if self.task == "cls":
-            value = np.zeros((max_nodes, n_classes))
-        else:
-            value = np.zeros(max_nodes)
-        imp = np.zeros(d)
-        n_nodes = 1
-        stack = [(0, boot, 0)]
-        nb = self.n_bins
+        cls = self.task == "cls"
+        n_classes = len(self.classes_) if cls else 0
         msl = self.min_samples_leaf
-        while stack:
-            node, idx, depth = stack.pop()
-            yn = y[idx]
-            m = len(idx)
-            if self.task == "cls":
-                cnt = np.bincount(yn, minlength=n_classes)
-                value[node] = cnt / m
-                pure = cnt.max() == m
+        yr = y[rows]
+        node = np.zeros(n, dtype=np.int64)  # frontier position of each row
+        imp = np.zeros(d)
+        levels = []  # (feature, thr_bin, left, value) of each depth's nodes
+        n_front, first = 1, 0  # frontier size, tree id of its first node
+        for depth in range(self.max_depth + 1):
+            m = np.bincount(node, minlength=n_front)
+            if cls:
+                cnt = np.bincount(node * n_classes + yr, minlength=n_front * n_classes)
+                cnt = cnt.reshape(n_front, n_classes)
+                value = cnt / m[:, None]
+                can = cnt.max(axis=1) < m  # not pure
             else:
-                value[node] = yn.mean()
-                pure = False
-            if depth >= self.max_depth or m < 2 * msl or pure:
-                continue
-            feats = rng.choice(d, size=k, replace=False)
-            sub = B[np.ix_(idx, feats)]  # (m, k)
-            offs = np.arange(k, dtype=np.int64) * nb
-            if self.task == "cls":
-                codes = (sub.astype(np.int64) + offs) * n_classes + yn[:, None]
-                hist = np.bincount(codes.ravel(), minlength=k * nb * n_classes)
-                hist = hist.reshape(k, nb, n_classes).astype(np.float64)
-                cum = hist.cumsum(axis=1)  # (k, nb, C) left counts per threshold
-                nl = cum.sum(axis=2)  # (k, nb)
-                tot = cum[:, -1, :]  # (k, C)
-                nr = m - nl
-                # Gini gain proxy: sum_c nl_c^2/nl + nr_c^2/nr  (maximize)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    gl = (cum**2).sum(axis=2) / nl
-                    gr = ((tot[:, None, :] - cum) ** 2).sum(axis=2) / nr
-                score = gl + gr
-                parent = (tot**2).sum(axis=1)[0] / m
-            else:
-                codes = sub.astype(np.int64) + offs
-                flat = codes.ravel(order="F")
-                w = np.tile(yn, k)
-                cnt = np.bincount(flat, minlength=k * nb).reshape(k, nb)
-                s = np.bincount(flat, weights=w, minlength=k * nb).reshape(k, nb)
-                nl = cnt.cumsum(axis=1)
-                sl = s.cumsum(axis=1)
-                nr = m - nl
-                sr = sl[:, -1:] - sl
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    score = sl**2 / nl + sr**2 / nr
-                parent = sl[0, -1] ** 2 / m
-            valid = (nl >= msl) & (nr >= msl)
-            score = np.where(valid, score, -np.inf)
-            score[:, -1] = -np.inf  # last bin = no split
-            fi, ti = np.unravel_index(np.argmax(score), score.shape)
-            best = score[fi, ti]
-            if not np.isfinite(best) or best - parent <= 1e-12:
-                continue
-            f_global = int(feats[fi])
-            go_left = sub[:, fi] <= ti
-            li, ri = n_nodes, n_nodes + 1
-            n_nodes += 2
-            feature[node] = f_global
-            thr_bin[node] = ti
-            left[node], right[node] = li, ri
-            imp[f_global] += (best - parent) / len(y)
-            stack.append((li, idx[go_left], depth + 1))
-            stack.append((ri, idx[~go_left], depth + 1))
+                value = np.bincount(node, weights=yr, minlength=n_front) / m
+                can = np.ones(n_front, dtype=bool)
+            can &= (m >= 2 * msl) & (depth < self.max_depth)
+            feature = np.full(n_front, -1, dtype=np.int32)
+            thr_bin = np.zeros(n_front, dtype=np.int32)
+            left = np.zeros(n_front, dtype=np.int32)
+            levels.append((feature, thr_bin, left, value))
+            sp = np.flatnonzero(can)
+            if sp.size == 0:
+                break
+            keep = can[node]
+            rows, yr = rows[keep], yr[keep]
+            node = (np.cumsum(can) - 1)[node[keep]]  # position among sp
+            # k distinct features per node in random order, like rng.choice;
+            # the order decides ties between equally good candidates
+            feats = np.argsort(rng.random((sp.size, d)), axis=1)[:, :k]
+            sub = B.ravel()[rows[:, None] * d + feats[node]]  # (rows, k) bins
+            best, parent, slot, thr = _best_splits(
+                sub, node, yr, m[sp], self.n_bins, n_classes, msl)
+            ok = np.isfinite(best) & (best - parent > 1e-12)
+            f_best = feats[np.arange(sp.size), slot]
+            child = 2 * np.cumsum(ok) - 2  # next-frontier position of left child
+            feature[sp[ok]] = f_best[ok]
+            thr_bin[sp[ok]] = thr[ok]
+            left[sp[ok]] = first + n_front + child[ok]
+            np.add.at(imp, f_best[ok], (best - parent)[ok] / n)
+            go_right = sub[np.arange(len(rows)), slot[node]] > thr[node]
+            keep = ok[node]
+            rows, yr = rows[keep], yr[keep]
+            node = (child[node] + go_right)[keep]
+            first += n_front
+            n_front = 2 * int(ok.sum())
+        feature, thr_bin, left, value = (np.concatenate(a) for a in zip(*levels))
+        right = np.where(feature >= 0, left + 1, 0).astype(np.int32)
         tot_imp = imp.sum()
-        return Tree(
-            feature[:n_nodes].copy(), thr_bin[:n_nodes].copy(),
-            left[:n_nodes].copy(), right[:n_nodes].copy(),
-            value[:n_nodes].copy(), imp / tot_imp if tot_imp > 0 else imp,
-        )
+        return Tree(feature, thr_bin, left, right, value,
+                    imp / tot_imp if tot_imp > 0 else imp)
 
     # -------------------------------------------------------------- predict
     def _check_fitted(self) -> None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 __all__ = ["tuple_ratio", "tr_filter"]
 

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.ml.forest import RandomForest, _bin_matrix, _quantile_edges
+from repro.ml import forest
+from repro.ml.forest import RandomForest, Tree, _bin_matrix, _quantile_edges
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +171,171 @@ class TestEdgeCases:
             rf = RandomForest(task="reg", n_trees=3, max_features=mf, seed=0).fit(X, y)
             assert rf.predict(X[:5]).shape == (5,)
 
+
+
+def _reference_tree(rf: RandomForest, B: np.ndarray, y: np.ndarray, seed: int) -> Tree:
+    """Node-by-node depth-first grower: the reference the level-wise
+    ``RandomForest._fit_tree`` must match. Same rules, one node per step."""
+    rng = np.random.default_rng(seed)
+    n, d = B.shape
+    boot = rng.integers(0, n, n)
+    k = rf._k_features(d)
+    cls = rf.task == "cls"
+    n_classes = len(rf.classes_) if cls else 0
+    max_nodes = 2 ** (rf.max_depth + 1) + 1
+    feature = np.full(max_nodes, -1, dtype=np.int32)
+    thr_bin = np.zeros(max_nodes, dtype=np.int32)
+    left = np.zeros(max_nodes, dtype=np.int32)
+    right = np.zeros(max_nodes, dtype=np.int32)
+    value = np.zeros((max_nodes, n_classes)) if cls else np.zeros(max_nodes)
+    imp = np.zeros(d)
+    n_nodes, nb, msl = 1, rf.n_bins, rf.min_samples_leaf
+    stack = [(0, boot, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        yn, m = y[idx], len(idx)
+        if cls:
+            cnt = np.bincount(yn, minlength=n_classes)
+            value[node], pure = cnt / m, cnt.max() == m
+        else:
+            value[node], pure = yn.mean(), False
+        if depth >= rf.max_depth or m < 2 * msl or pure:
+            continue
+        feats = rng.choice(d, size=k, replace=False)
+        sub = B[np.ix_(idx, feats)]
+        offs = np.arange(k, dtype=np.int64) * nb
+        if cls:
+            codes = (sub.astype(np.int64) + offs) * n_classes + yn[:, None]
+            hist = np.bincount(codes.ravel(), minlength=k * nb * n_classes)
+            cum = hist.reshape(k, nb, n_classes).astype(np.float64).cumsum(axis=1)
+            nl, tot = cum.sum(axis=2), cum[:, -1, :]
+            nr = m - nl
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = ((cum**2).sum(axis=2) / nl
+                         + ((tot[:, None, :] - cum) ** 2).sum(axis=2) / nr)
+            parent = (tot**2).sum(axis=1)[0] / m
+        else:
+            flat = (sub.astype(np.int64) + offs).ravel(order="F")
+            nl = np.bincount(flat, minlength=k * nb).reshape(k, nb).cumsum(axis=1)
+            sl = np.bincount(flat, weights=np.tile(yn, k), minlength=k * nb)
+            sl = sl.reshape(k, nb).cumsum(axis=1)
+            nr, sr = m - nl, sl[:, -1:] - sl
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = sl**2 / nl + sr**2 / nr
+            parent = sl[0, -1] ** 2 / m
+        score = np.where((nl >= msl) & (nr >= msl), score, -np.inf)
+        score[:, -1] = -np.inf
+        fi, ti = np.unravel_index(np.argmax(score), score.shape)
+        best = score[fi, ti]
+        if not np.isfinite(best) or best - parent <= 1e-12:
+            continue
+        go_left = sub[:, fi] <= ti
+        li, ri = n_nodes, n_nodes + 1
+        n_nodes += 2
+        feature[node], thr_bin[node] = feats[fi], ti
+        left[node], right[node] = li, ri
+        imp[feats[fi]] += (best - parent) / len(y)
+        stack.append((li, idx[go_left], depth + 1))
+        stack.append((ri, idx[~go_left], depth + 1))
+    s = imp.sum()
+    return Tree(feature[:n_nodes], thr_bin[:n_nodes], left[:n_nodes],
+                right[:n_nodes], value[:n_nodes], imp / s if s > 0 else imp)
+
+
+def _reference_forest(rf: RandomForest, X: np.ndarray, y: np.ndarray) -> RandomForest:
+    """``rf`` fitted as ``RandomForest.fit`` does, but with ``_reference_tree``."""
+    ref = RandomForest(**{f: getattr(rf, f) for f in
+                          ("task", "n_trees", "max_depth", "min_samples_leaf",
+                           "max_features", "n_bins", "seed")})
+    rng = np.random.default_rng(ref.seed)
+    ref.edges_ = _quantile_edges(X, ref.n_bins, rng)
+    B = _bin_matrix(X, ref.edges_)
+    if ref.task == "cls":
+        ref.classes_, y_work = np.unique(y, return_inverse=True)
+    else:
+        y_work = np.asarray(y, dtype=np.float64)
+    seeds = rng.integers(0, 2**31 - 1, ref.n_trees)
+    ref.trees = [_reference_tree(ref, B, y_work, int(s)) for s in seeds]
+    return ref
+
+
+_default_rng = np.random.default_rng
+
+
+class _AscendingCandidates:
+    """A seeded generator whose candidate-feature draws come back in
+    ascending feature order; the bootstrap and tree seeds stay random."""
+
+    def __init__(self, seed):
+        self._rng = _default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def choice(self, d, size, replace=True):  # reference: per-node draw
+        return np.arange(size)
+
+    def random(self, size):  # level-wise: uniforms argsorted per node
+        return np.broadcast_to(np.arange(size[-1], dtype=np.float64), size)
+
+
+class TestLevelwiseMatchesReference:
+    """With ``max_features="all"`` the candidate *set* is every feature, so
+    the bootstrap is the only randomness that shapes a tree. Only the
+    candidate *order* still matters: it decides exact ties, which binned
+    features and count-based Gini scores produce in small nodes. Both
+    growers get their candidates in ascending order, so the level-wise
+    forest must rebuild the reference's trees exactly."""
+
+    @pytest.fixture(autouse=True)
+    def _pin_candidate_order(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", _AscendingCandidates)
+
+    @pytest.mark.parametrize("task", ["cls", "reg"])
+    @pytest.mark.parametrize("msl,depth", [(4, 8), (1, 12), (30, 3)])
+    def test_same_forest(self, task, msl, depth):
+        rng = _default_rng(11)
+        X = rng.normal(size=(400, 9))
+        signal = X[:, 0] - 0.7 * X[:, 1] + 0.5 * X[:, 2] * X[:, 3]
+        y = (signal > 0).astype(int) if task == "cls" else signal + 0.3 * rng.normal(size=400)
+        rf = RandomForest(task=task, n_trees=6, max_depth=depth, min_samples_leaf=msl,
+                          max_features="all", seed=5).fit(X, y)
+        ref = _reference_forest(rf, X, y)
+        for t, r in zip(rf.trees, ref.trees):
+            assert (t.feature >= 0).sum() == (r.feature >= 0).sum()
+        Xt = rng.normal(size=(300, 9))
+        if task == "cls":
+            np.testing.assert_array_equal(rf.predict_proba(Xt), ref.predict_proba(Xt))
+        np.testing.assert_allclose(rf.predict(Xt), ref.predict(Xt), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rf.feature_importances_, ref.feature_importances_,
+                                   rtol=1e-10, atol=1e-14)
+
+    def test_ten_class_wide_fit_matches(self, monkeypatch):
+        """(node, slot, bin, class) histograms at d=700, scored in frontier
+        chunks of one node (small cap) and of several nodes (default cap)."""
+        rng = _default_rng(3)
+        X = rng.normal(size=(500, 700))
+        y = np.digitize(X[:, 0] + 0.5 * X[:, 1] + 0.3 * rng.normal(size=500),
+                        np.linspace(-1.5, 1.5, 9))
+        assert len(np.unique(y)) == 10
+        kw = dict(task="cls", n_trees=2, max_depth=6, max_features="all", seed=1)
+        ref = _reference_forest(RandomForest(**kw), X, y)
+        Xt = rng.normal(size=(200, 700))
+        for cap in (1 << 15, forest._MAX_HIST_CELLS):
+            monkeypatch.setattr(forest, "_MAX_HIST_CELLS", cap)
+            rf = RandomForest(**kw).fit(X, y)
+            np.testing.assert_array_equal(rf.predict_proba(Xt), ref.predict_proba(Xt))
+            np.testing.assert_allclose(rf.feature_importances_, ref.feature_importances_,
+                                       rtol=1e-10, atol=1e-14)
+
+
+def test_ten_class_wide_sqrt_fit():
+    """Digits-shaped fit with per-node feature draws learns the signal."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(900, 700))
+    y = np.digitize(X[:, 0], np.linspace(-1.5, 1.5, 9))
+    X[:, 1:40] += 0.5 * X[:, [0]]
+    rf = RandomForest(task="cls", n_trees=20, seed=0).fit(X, y)
+    assert rf.trees[0].value.shape[1] == 10
+    assert (rf.predict(X) == y).mean() > 0.5
+    assert np.argmax(rf.feature_importances_) == 0
