@@ -1,21 +1,28 @@
 """End-to-end ARDA pipeline (paper §3 workflow).
 
-Stages, matching Figure 1: coreset construction -> join plan -> join
-execution (per batch) -> feature selection (per batch) -> final estimate.
+Stages, matching Figure 1: join plan -> joins -> coreset -> feature
+selection (per batch) -> final estimate.
+
+Every join is a LEFT join onto a pre-aggregated, many-to-one table (§4),
+so a base row gets the same joined values on a coreset as on the full
+base. Each candidate table is therefore joined once per scenario and
+seed, onto the full base, and imputed with full-base statistics
+(``AugmentedTable``, cached on the ``Scenario``). A coreset is a row
+sample of that table; a batch and the final matrix are column
+projections of it.
 
 The pipeline is factored into three reusable pieces so experiment jobs
 can amortize the expensive parts across the many selectors they compare:
 
-* ``prepare_batches``  — coreset the base table, build the join plan,
-  execute every batch join on the coreset (soft keys, resampling,
-  pre-aggregation, imputation), and encode each batch into a numpy
-  matrix. Pure Spark until the final encode.
+* ``prepare_batches``  — join the plan's tables (soft keys, resampling,
+  pre-aggregation, imputation), sample the coreset rows, and encode each
+  batch into a numpy matrix.
 * ``run_selector``     — run one named selection method over the encoded
   batches, always force-keeping the base-table features; returns the kept
   augmented feature names and the selection wall-clock.
-* ``final_estimate``   — join the *full* base table with just the tables
-  that contributed kept features, train the paper's lightly
-  auto-optimized Random-Forest estimator, and report the holdout score.
+* ``final_estimate``   — encode the full joined base, keep the base
+  features plus the kept ones, train the paper's lightly auto-optimized
+  Random-Forest estimator, and report the holdout score.
 
 ``run_arda`` composes the three for single-shot use.
 """
@@ -25,7 +32,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.core.rifs import RIFSConfig, rifs_select
 from repro.core.search import exponential_search
@@ -44,9 +53,10 @@ from repro.selectors.wrappers import backward_elimination, forward_selection, rf
 from repro.repository.repo import Scenario
 
 __all__ = ["ArdaConfig", "ArdaResult", "prepare_batches", "run_selector",
-           "final_estimate", "run_arda", "Batch"]
+           "final_estimate", "run_arda", "Batch", "AugmentedTable"]
 
 _CHECKPOINT_EVERY = 8  # truncate join lineage on long batch chains
+_ROW_ID = "__row_id"
 
 
 @dataclass
@@ -80,7 +90,31 @@ class Batch:
     names: list[str]
     base_idx: np.ndarray  # columns encoding base-table features (force-keep)
     aug_idx: np.ndarray  # columns encoding augmented features (selectable)
-    tables: list[str]
+    col_tables: list[str | None]  # table each column came from; None = base
+
+
+@dataclass
+class AugmentedTable:
+    """The full base with candidate tables LEFT-joined and imputed.
+
+    ``frame`` is collected into pandas, indexed by ``__row_id`` (the base
+    row order); ``source`` maps every joined raw column to its table and is
+    the only record of provenance — base columns are absent from it.
+    """
+
+    seed: int
+    frame: pd.DataFrame
+    source: dict[str, str] = field(default_factory=dict)
+    tables: set[str] = field(default_factory=set)
+
+    def project(self, tables: set[str], key_cols: list[str],
+                row_ids: list[int] | None = None) -> pd.DataFrame:
+        """Base columns (keys dropped) plus the columns of ``tables``, for
+        ``row_ids`` in that order (every row by default)."""
+        cols = [c for c in self.frame.columns if c not in key_cols
+                and (c not in self.source or self.source[c] in tables)]
+        rows = self.frame if row_ids is None else self.frame.loc[row_ids]
+        return rows[cols].reset_index(drop=True)
 
 
 @dataclass
@@ -109,15 +143,60 @@ def join_candidate(df: DataFrame, cand: CandidateJoin, foreign: DataFrame,
     return left_join(df, foreign, cand.base_keys, cand.foreign_keys, cand.prefix)
 
 
-def _join_chain(df: DataFrame, cands: list[CandidateJoin], scenario: Scenario,
-                seed: int) -> DataFrame:
-    """Join ``cands`` onto ``df`` in order, truncating the lineage every
-    ``_CHECKPOINT_EVERY`` joins."""
-    for i, cand in enumerate(cands):
+def _with_row_id(base: DataFrame, cols: list[str]) -> DataFrame:
+    """``cols`` of the base plus ``__row_id``, the key of the joined table.
+
+    The id depends only on the base's partition layout, which a projection
+    keeps, so every call numbers the rows alike and in the base's collect
+    order. Projecting first keeps the id cheap on wide local tables, where
+    Spark evaluates it eagerly, on all rows, for every query. The result
+    is not checkpointed: a checkpoint re-partitions a local table and
+    would change the coreset's rand().
+    """
+    return base.select(*cols).withColumn(_ROW_ID, F.monotonically_increasing_id())
+
+
+def _augment(scenario: Scenario, cands: list[CandidateJoin],
+             seed: int) -> AugmentedTable:
+    """Join every candidate in ``cands`` not joined yet onto the full base,
+    impute the new columns, and add them to the scenario's cached table
+    (rebuilt when ``seed`` changes). Returns the cached table."""
+    aug = scenario.augmented
+    if aug is None or aug.seed != seed:
+        ids = [r[0] for r in _with_row_id(scenario.base, []).collect()]
+        frame = scenario.base.toPandas().set_axis(pd.Index(ids, name=_ROW_ID))
+        aug = scenario.augmented = AugmentedTable(seed, frame)
+    new = [c for c in cands if c.table not in aug.tables]
+    if not new:
+        return aug
+    keys = list(dict.fromkeys(k for cand in new for k in cand.base_keys))
+    df, source = _with_row_id(scenario.base, keys), {}
+    for i, cand in enumerate(new):
+        before = set(df.columns)
         df = join_candidate(df, cand, scenario.repo[cand.table], seed=seed)
+        source.update(dict.fromkeys([c for c in df.columns if c not in before],
+                                    cand.table))
         if (i + 1) % _CHECKPOINT_EVERY == 0:
             df = df.localCheckpoint(eager=True)
-    return df
+    # Truncate the N-join lineage before imputation: it runs several jobs
+    # over the result and would otherwise re-execute the join chain.
+    df = impute(df.localCheckpoint(eager=True), cols=list(source), seed=seed)
+    joined = df.select(_ROW_ID, *source).toPandas().set_index(_ROW_ID)
+    aug.frame = aug.frame.join(joined)
+    aug.source.update(source)
+    aug.tables.update(c.table for c in new)
+    return aug
+
+
+def _base_mask(sources: list[str], col_tables: list[str | None],
+               scenario: Scenario) -> np.ndarray:
+    """True for features of the user's base table: joined from no table
+    and, in micro-benchmark scenarios (no repository), encoding one of
+    ``scenario.base_feature_cols`` — every other base column there is
+    augmentation to select over."""
+    keep = scenario.base_feature_cols
+    return np.array([t is None and (keep is None or s in keep)
+                     for s, t in zip(sources, col_tables)], dtype=bool)
 
 
 def _apply_tr_prefilter(scenario: Scenario, candidates: list[CandidateJoin],
@@ -131,20 +210,10 @@ def _apply_tr_prefilter(scenario: Scenario, candidates: list[CandidateJoin],
 
 def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
                     ) -> tuple[list[Batch], dict]:
-    """Coreset + join plan + batch joins + encoding. Returns (batches, info)."""
+    """Join plan + joins + coreset + encoding. Returns (batches, info)."""
     t0 = time.perf_counter()
     info: dict = {}
     size = cfg.coreset_size
-    coreset = build_coreset(scenario.base, size, cfg.coreset_method,
-                            label_col=scenario.target if scenario.task == "cls" else None,
-                            seed=cfg.seed)
-    # A stable row id lets every batch matrix share row order, so the
-    # cross-batch pruning pass can hstack kept columns from different
-    # batches. localCheckpoint materializes the ids so re-scans are stable.
-    from pyspark.sql import functions as F
-    coreset = (coreset.withColumn("__row_id", F.monotonically_increasing_id())
-               .localCheckpoint(eager=True))
-
     candidates = list(scenario.candidates)
     if cfg.tr_tau is not None:
         candidates, removed = _apply_tr_prefilter(scenario, candidates, cfg.tr_tau)
@@ -155,27 +224,24 @@ def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
     plan = make_plan(candidates, cfg.join_strategy, budget=budget) or [[]]
     info["n_batches"] = len(plan)
 
-    drop_cols = list(scenario.key_cols)
+    aug = _augment(scenario, [cand for batch in plan for cand in batch], cfg.seed)
+    label = scenario.target if scenario.task == "cls" else None
+    coreset = build_coreset(_with_row_id(scenario.base, [label] if label else []),
+                            size, cfg.coreset_method, label_col=label, seed=cfg.seed)
+    # Every batch matrix shares this row order, so the cross-batch pruning
+    # pass can hstack kept columns from different batches.
+    row_ids = [r[0] for r in coreset.select(_ROW_ID).collect()]
     batches: list[Batch] = []
     for batch in plan:
-        df = coreset
-        tables = [cand.table for cand in batch]
-        if batch:
-            # Truncate the N-join lineage before imputation/encoding: both
-            # run several jobs over the result and would otherwise
-            # re-execute the whole join chain each time.
-            df = _join_chain(df, batch, scenario, cfg.seed).localCheckpoint(eager=True)
-            aug_cols = [c for c in df.columns if "__" in c and c != "__row_id"]
-            df = impute(df, cols=aug_cols, seed=cfg.seed)
-        pdf = df.toPandas().sort_values("__row_id")
-        pdf = pdf.drop(columns=[c for c in drop_cols + ["__row_id"] if c in pdf.columns])
-        X, y, names, _ = assemble(pdf, scenario.target, scenario.task)
+        pdf = aug.project({cand.table for cand in batch}, scenario.key_cols, row_ids)
+        X, y, names, enc = assemble(pdf, scenario.target, scenario.task)
         if cfg.coreset_method == "sketch" and len(y) > 0:
             X, y = sketch_dataset(X, y, ell=min(size, len(y)), task=scenario.task,
                                   seed=cfg.seed)
-        is_base = np.array([_is_base(nm, scenario, tables) for nm in names], dtype=bool)
+        col_tables = [aug.source.get(src) for src in enc.sources_]
+        is_base = _base_mask(enc.sources_, col_tables, scenario)
         batches.append(Batch(X, y, names, np.flatnonzero(is_base),
-                             np.flatnonzero(~is_base), tables))
+                             np.flatnonzero(~is_base), col_tables))
     info["prepare_time_s"] = time.perf_counter() - t0
     return batches, info
 
@@ -240,145 +306,57 @@ def _union_batch(batches: list[Batch], kept_names: list[str]) -> Batch:
     hstacked in shared row order (guaranteed by the coreset ``__row_id``)."""
     b0 = batches[0]
     keep = set(kept_names)
-    parts = [b0.X[:, b0.base_idx]]
-    names = [b0.names[j] for j in b0.base_idx]
-    tables: list[str] = []
-    for b in batches:
-        idx = [j for j in b.aug_idx if b.names[j] in keep]
-        if idx:
-            parts.append(b.X[:, idx])
-            names.extend(b.names[j] for j in idx)
-            tables.extend(b.tables)
-    X = np.hstack(parts)
+    idx = [(b0, list(b0.base_idx))]
+    idx += [(b, [j for j in b.aug_idx if b.names[j] in keep]) for b in batches]
+    X = np.hstack([b.X[:, cols] for b, cols in idx])
+    names = [b.names[j] for b, cols in idx for j in cols]
+    col_tables = [b.col_tables[j] for b, cols in idx for j in cols]
     n_base = len(b0.base_idx)
     return Batch(X, b0.y, names, np.arange(n_base),
-                 np.arange(n_base, X.shape[1]), tables)
+                 np.arange(n_base, X.shape[1]), col_tables)
 
 
 def batch_aug_names(b: Batch) -> list[str]:
     return [b.names[j] for j in b.aug_idx]
 
 
-def _from_cols(name: str, raw_cols: list[str]) -> bool:
-    """True when encoded feature ``name`` derives from one of ``raw_cols``
-    (identity, one-hot ``col==v``, or datetime ``col__part`` expansion)."""
-    return any(name == c or name.startswith(c + "==") or name.startswith(c + "__")
-               for c in raw_cols)
-
-
-def _is_base(name: str, scenario: Scenario, tables: list[str] | set[str]) -> bool:
-    """True when encoded feature ``name`` belongs to the user's base table:
-    it comes from none of ``tables`` and, in micro-benchmark scenarios
-    (no repository), from one of ``scenario.base_feature_cols`` — every
-    other base column there is augmentation to select over."""
-    if any(name.startswith(t + "__") for t in tables):
-        return False
-    return (scenario.base_feature_cols is None
-            or _from_cols(name, scenario.base_feature_cols))
-
-
-def _tables_of(names: list[str], known_tables: set[str]) -> set[str]:
-    out = set()
-    for nm in names:
-        head = nm.split("__", 1)[0]
-        if head in known_tables:
-            out.add(head)
-    return out
-
-
-_FAST_JOIN_MIN_TABLES = 24
-
-
-def _impute_pandas(pdf, cols: list[str], seed: int):
-    """Pandas mirror of ``repro.joins.impute``: median for numerics,
-    uniformly random observed value for categoricals."""
-    import pandas as pd
-
-    rng = np.random.default_rng(seed)
-    for c in cols:
-        s = pdf[c]
-        if not s.isna().any():
-            continue
-        if pd.api.types.is_numeric_dtype(s):
-            med = s.median()
-            pdf[c] = s.fillna(0.0 if pd.isna(med) else med)
-        else:
-            dom = s.dropna().unique()
-            if len(dom) == 0:
-                pdf[c] = s.fillna("__missing__")
-            else:
-                fill = rng.choice(dom, size=int(s.isna().sum()))
-                pdf.loc[s.isna(), c] = fill
-    return pdf
-
-
-def _merge_hard_pandas(pdf, cand: CandidateJoin, foreign_pdf):
-    """Driver-side equivalent of ``left_join`` (pre-aggregate to
-    many-to-one, prefix, LEFT merge) for the wide-fan fast path."""
-    import pandas as pd
-
-    f = foreign_pdf
-    keys = cand.foreign_keys
-    val_cols = [c for c in f.columns if c not in keys]
-    aggs = {c: ("mean" if pd.api.types.is_numeric_dtype(f[c]) else "min")
-            for c in val_cols}
-    f = f.groupby(keys, as_index=False).agg(aggs) if val_cols else f.drop_duplicates(keys)
-    f = f.rename(columns={c: f"{cand.prefix}__{c}" for c in val_cols})
-    merged = pdf.merge(f, how="left", left_on=cand.base_keys, right_on=keys,
-                       suffixes=("", "__dup"))
-    extra_keys = [k for k in keys if k not in cand.base_keys and k in merged.columns]
-    return merged.drop(columns=extra_keys)
+def _final_matrix(scenario: Scenario, kept_names: list[str], seed: int
+                  ) -> tuple[np.ndarray, np.ndarray, list[str], list[str | None]]:
+    """The full base's base features plus ``kept_names``, encoded from the
+    scenario's joined table: (X, y, names, table of each column)."""
+    aug = _augment(scenario, [], seed)
+    X, y, names, enc = assemble(aug.project(aug.tables, scenario.key_cols),
+                                scenario.target, scenario.task)
+    col_tables = [aug.source.get(src) for src in enc.sources_]
+    kept = set(kept_names)
+    keep = _base_mask(enc.sources_, col_tables, scenario)
+    keep |= np.array([nm in kept for nm in names], dtype=bool)
+    if kept and not kept & set(names):
+        raise ValueError("no kept feature is in the joined table: call "
+                         "prepare_batches with the same scenario and seed first")
+    cols = np.flatnonzero(keep)
+    return (X[:, cols], y, [names[j] for j in cols],
+            [col_tables[j] for j in cols])
 
 
 def final_estimate(spark: SparkSession, scenario: Scenario,
                    kept_names: list[str], cfg: ArdaConfig) -> tuple[float, int]:
-    """Train the final estimator on the full base joined with the tables
-    that contributed kept features; returns (holdout metric, n_tables).
+    """Train the final estimator on the full base's base features plus the
+    kept ones; returns (holdout metric, tables contributing a feature).
 
-    The metric is raw: accuracy for classification, MAE for regression
-    (jobs apply the paper's x10^k display scaling).
-
-    Wide fans of hard joins (> _FAST_JOIN_MIN_TABLES tables, e.g. the
-    all-features row of School (L) with 350 tables) take a driver-side
-    pandas merge path: chaining hundreds of Catalyst joins has
-    superlinear planning cost that dwarfs the actual work at container
-    scale. Soft candidates always go through the Spark soft-join
-    operators; the Spark hard-join path covers the common case and is
-    what the oracle-backed tests verify.
+    The matrix is a projection of the table ``prepare_batches`` joined for
+    this scenario and seed, so this function runs no join; its imputed
+    values come from full-base statistics. The metric is raw: accuracy for
+    classification, MAE for regression (jobs apply the paper's x10^k
+    display scaling).
     """
-    known = set(scenario.repo.names())
-    used_tables = _tables_of(kept_names, known)
-    by_table = {c.table: c for c in scenario.candidates}
-    hard = [by_table[t] for t in sorted(used_tables) if not by_table[t].soft]
-    soft = [by_table[t] for t in sorted(used_tables) if by_table[t].soft]
-    df = _join_chain(scenario.base, soft, scenario, cfg.seed)
-    if len(hard) > _FAST_JOIN_MIN_TABLES:
-        pdf = df.toPandas()
-        for cand in hard:
-            pdf = _merge_hard_pandas(pdf, cand, scenario.repo.to_pandas(cand.table))
-        aug_cols = [c for c in pdf.columns if "__" in c]
-        pdf = _impute_pandas(pdf, aug_cols, cfg.seed)
-        pdf = pdf.drop(columns=[c for c in scenario.key_cols if c in pdf.columns])
-        X, y, names, _ = assemble(pdf, scenario.target, scenario.task)
-    else:
-        df = _join_chain(df, hard, scenario, cfg.seed)
-        aug_cols = [c for c in df.columns if "__" in c]
-        if aug_cols:
-            df = df.localCheckpoint(eager=True)
-            df = impute(df, cols=aug_cols, seed=cfg.seed)
-        df = df.drop(*[c for c in scenario.key_cols if c in df.columns])
-        X, y, names, _ = assemble(df, scenario.target, scenario.task)
-    return _estimate_from_matrix(scenario, used_tables, kept_names,
-                                 X, y, names, cfg)
+    X, y, _, col_tables = _final_matrix(scenario, kept_names, cfg.seed)
+    n_tables = len(set(col_tables) - {None})
+    return _estimate_from_matrix(scenario, X, y, cfg), n_tables
 
 
-def _estimate_from_matrix(scenario: Scenario, used_tables: set[str],
-                          kept_names: list[str], X: np.ndarray, y: np.ndarray,
-                          names: list[str], cfg: ArdaConfig) -> tuple[float, int]:
-    keep_set = set(kept_names)
-    cols = [j for j, nm in enumerate(names)
-            if nm in keep_set or _is_base(nm, scenario, used_tables)]
-    Xs = X[:, cols]
+def _estimate_from_matrix(scenario: Scenario, Xs: np.ndarray, y: np.ndarray,
+                          cfg: ArdaConfig) -> float:
     strat = y if scenario.task == "cls" else None
     # Average over two holdout splits to damp split noise; within each,
     # "lightly auto-optimized": two capacities, keep the better (paper §7).
@@ -396,8 +374,7 @@ def _estimate_from_matrix(scenario: Scenario, used_tables: set[str],
                 best = s
         split_scores.append(best)
     avg = float(np.mean(split_scores))
-    metric = avg if scenario.task == "cls" else -avg
-    return float(metric), len(used_tables)
+    return float(avg if scenario.task == "cls" else -avg)
 
 
 def run_arda(spark: SparkSession, scenario: Scenario,

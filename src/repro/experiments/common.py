@@ -149,23 +149,19 @@ def score_grid(spark, scenario: Scenario, quick: bool, variants: dict[str, dict]
     return grid
 
 
-def tr_standalone(spark, scenario: Scenario, cfg: ArdaConfig,
-                  tau: float) -> MethodResult:
-    """Paper's 'TR rule' row: keep tables passing the rule, join them all,
-    no feature selection."""
+def tr_standalone(spark, scenario: Scenario, batches: list[Batch],
+                  cfg: ArdaConfig, tau: float) -> MethodResult:
+    """Paper's 'TR rule' row: keep every augmented feature of the prepared
+    ``batches`` whose table passes the rule; no feature selection."""
     t0 = time.perf_counter()
     n_base = scenario.base.count()
     decisions = tr_filter(n_base, scenario.candidates, scenario.repo.tables, tau)
     keep_tables = {d.name for d in decisions if d.keep}
-    kept = []
-    for c in scenario.candidates:
-        if c.table in keep_tables:
-            ft = scenario.repo[c.table]
-            kept += [f"{c.table}__{col}" for col in ft.columns
-                     if col not in c.foreign_keys]
+    kept = [b.names[j] for b in batches for j in b.aug_idx
+            if b.col_tables[j] in keep_tables]
     score, n_tables = final_estimate(spark, scenario, kept, cfg)
     return MethodResult(scenario.name, "tr_rule", score,
-                        time.perf_counter() - t0, len(kept), n_tables)
+                        time.perf_counter() - t0, len(kept), n_tables, kept)
 
 
 def automl_rows(spark, scenario: Scenario, batches: list[Batch],

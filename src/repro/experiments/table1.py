@@ -28,7 +28,8 @@ def _rows(spark, scenario, quick: bool) -> list[dict]:
             run_method(spark, scenario, batches, "all_features", cfg).row()]
     for r in automl_rows(spark, scenario, batches, cfg, budget_s=5 if quick else 20):
         rows.append(r.row())
-    rows.append(tr_standalone(spark, scenario, cfg, TR_TAU[scenario.name]).row())
+    rows.append(tr_standalone(spark, scenario, batches, cfg,
+                             TR_TAU[scenario.name]).row())
     for sel in selector_list(scenario.task):
         rows.append(run_method(spark, scenario, batches, sel, cfg).row())
     return rows

@@ -8,6 +8,7 @@ output).
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -27,11 +28,14 @@ def _rows(spark, scenario, quick: bool) -> list[dict]:
     tau = float(np.quantile(ratios, 0.45))  # removes the worst ~55%
 
     def pipeline(tr_tau):
+        # Each pipeline joins its own tables: a fresh copy of the scenario
+        # starts without the other pipeline's joined table.
+        sc = dataclasses.replace(scenario)
         t0 = time.perf_counter()
         c = make_cfg(quick, tr_tau=tr_tau)
-        batches, info = prepare_batches(spark, scenario, c)
-        kept, _, _ = run_selector(batches, "rifs", scenario.task, c)
-        score, _ = final_estimate(spark, scenario, kept, c)
+        batches, info = prepare_batches(spark, sc, c)
+        kept, _, _ = run_selector(batches, "rifs", sc.task, c)
+        score, _ = final_estimate(spark, sc, kept, c)
         return score, time.perf_counter() - t0, info.get("tr_removed", 0)
 
     base_score, base_t, _ = pipeline(None)

@@ -24,7 +24,8 @@ class FeatureEncoder:
     Numerics pass through (median-imputed); categoricals one-hot encode
     their ``<= _MAX_ONEHOT`` most frequent values (rest fall into no
     column, i.e. an implicit "other" of all-zeros); datetimes expand to
-    (epoch-days, month, dayofweek, hour).
+    (epoch-days, month, dayofweek, hour). ``sources_[j]`` is the raw column
+    feature ``j`` encodes, so callers never parse feature names.
     """
 
     target: str
@@ -33,26 +34,31 @@ class FeatureEncoder:
     dt_cols: list[str] = field(default_factory=list)
     medians: dict[str, float] = field(default_factory=dict)
     feature_names_: list[str] = field(default_factory=list)
+    sources_: list[str] = field(default_factory=list)  # raw column per feature
 
     def fit(self, pdf: pd.DataFrame) -> "FeatureEncoder":
         names: list[str] = []
+        sources: list[str] = []
         for col in pdf.columns:
             if col == self.target:
                 continue
             s = pdf[col]
             if pd.api.types.is_datetime64_any_dtype(s):
                 self.dt_cols.append(col)
-                names += [f"{col}__epoch", f"{col}__month", f"{col}__dow", f"{col}__hour"]
+                new = [f"{col}__epoch", f"{col}__month", f"{col}__dow", f"{col}__hour"]
             elif pd.api.types.is_numeric_dtype(s) or pd.api.types.is_bool_dtype(s):
                 self.numeric_cols.append(col)
                 med = float(pd.to_numeric(s, errors="coerce").median())
                 self.medians[col] = 0.0 if np.isnan(med) else med
-                names.append(col)
+                new = [col]
             else:
                 top = s.astype("string").value_counts().index[:_MAX_ONEHOT].tolist()
                 self.cat_maps[col] = top
-                names += [f"{col}=={v}" for v in top]
+                new = [f"{col}=={v}" for v in top]
+            names += new
+            sources += [col] * len(new)
         self.feature_names_ = names
+        self.sources_ = sources
         return self
 
     def transform(self, pdf: pd.DataFrame) -> np.ndarray:

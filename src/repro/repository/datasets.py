@@ -66,7 +66,7 @@ def _finish(spark: SparkSession, name: str, task: str, base_pdf: pd.DataFrame,
             error_scale: float = 1.0) -> Scenario:
     repo = DataRepository()
     for tname, pdf in tables.items():
-        repo.add(tname, spark.createDataFrame(pdf), pdf=pdf)
+        repo.add(tname, spark.createDataFrame(pdf))
     return Scenario(name=name, task=task,
                     base=spark.createDataFrame(base_pdf), target=target,
                     repo=repo, candidates=cands, signal_tables=signal_tables,

@@ -21,17 +21,11 @@ __all__ = ["DataRepository", "Scenario"]
 @dataclass
 class DataRepository:
     tables: dict[str, DataFrame] = field(default_factory=dict)
-    # optional driver-side cache of the source pandas frames (synthetic
-    # generators create tables from pandas, so caching avoids a Spark
-    # collect per table on the wide-fan fast join path)
-    pandas_cache: dict = field(default_factory=dict)
 
-    def add(self, name: str, df: DataFrame, pdf=None) -> None:
+    def add(self, name: str, df: DataFrame) -> None:
         if name in self.tables:
             raise KeyError(f"table {name!r} already registered")
         self.tables[name] = df
-        if pdf is not None:
-            self.pandas_cache[name] = pdf
 
     def __getitem__(self, name: str) -> DataFrame:
         return self.tables[name]
@@ -41,12 +35,6 @@ class DataRepository:
 
     def names(self) -> list[str]:
         return sorted(self.tables)
-
-    def to_pandas(self, name: str):
-        """The table as pandas — cached source frame when available."""
-        if name in self.pandas_cache:
-            return self.pandas_cache[name]
-        return self.tables[name].toPandas()
 
 
 @dataclass
@@ -69,3 +57,7 @@ class Scenario:
     # Micro-benchmark scenarios: the generator's real feature columns; the
     # rest of ``base`` (besides the target) is planted noise.
     original_features: list[str] = field(default_factory=list)
+    # The base table with every candidate joined so far, built and reused
+    # by ``repro.core.arda`` (an ``AugmentedTable``). A cache, not a
+    # setting: ``dataclasses.replace`` starts the copy without one.
+    augmented: object = field(default=None, init=False, repr=False, compare=False)

@@ -6,12 +6,16 @@ beats the baseline, RIFS prunes noise tables, every strategy runs, and the
 TR prefilter removes tables.
 """
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core import arda
 from repro.core.arda import (ArdaConfig, final_estimate, join_candidate,
                              prepare_batches, run_arda, run_selector)
 from repro.core.rifs import RIFSConfig
+from repro.joins.plan import CandidateJoin
 from repro.repository import datasets
+from repro.repository.repo import DataRepository, Scenario
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +193,69 @@ class TestMicroPipeline:
         batches, _ = prepare_batches(spark, sc, cfg)
         b = batches[0]
         assert {b.names[j] for j in b.base_idx} == set(sc.base_feature_cols)
+
+
+class TestJoinOnce:
+    def test_each_table_joined_once_per_scenario(self, spark, monkeypatch):
+        sc = datasets.school_s(spark, n_schools=300)
+        cfg = ArdaConfig(coreset_size=200, rifs=RIFSConfig(k=3), eval_trees=10,
+                         final_trees=20)
+        joins, rows = [], []
+        join, assemble = arda.join_candidate, arda.assemble
+
+        def counted_join(*a, **kw):
+            joins.append(a[1].table)
+            return join(*a, **kw)
+
+        def counted_assemble(*a, **kw):
+            out = assemble(*a, **kw)
+            rows.append(out[0].shape[0])
+            return out
+
+        monkeypatch.setattr(arda, "join_candidate", counted_join)
+        monkeypatch.setattr(arda, "assemble", counted_assemble)
+        batches, _ = prepare_batches(spark, sc, cfg)
+        n_base = sc.base.count()
+        for selector in ("rifs", "all_features"):
+            kept, _, _ = run_selector(batches, selector, "cls", cfg)
+            final_estimate(spark, sc, kept, cfg)
+            assert rows[-1] == n_base  # LEFT joins keep every base row
+        assert sorted(joins) == sorted(c.table for c in sc.candidates)
+
+
+def _stamp_scenario(spark) -> Scenario:
+    """A base datetime column named like a candidate table ("stamp")."""
+    rng = np.random.default_rng(0)
+    n = 120
+    base = pd.DataFrame({"id": np.arange(n), "x": rng.normal(size=n),
+                         "stamp": pd.date_range("2020-01-01", periods=n, freq="h")})
+    base["y"] = base["x"] + rng.normal(size=n)
+    repo = DataRepository()
+    repo.add("stamp", spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(n), "v": rng.normal(size=n)})))
+    cand = CandidateJoin(table="stamp", base_keys=["id"], foreign_keys=["id"],
+                         n_features=1)
+    return Scenario(name="stamp", task="reg", base=spark.createDataFrame(base),
+                    target="y", repo=repo, candidates=[cand], key_cols=["id"])
+
+
+class TestProvenance:
+    def test_base_datetime_named_like_a_table_stays_base(self, spark):
+        sc = _stamp_scenario(spark)
+        cfg = ArdaConfig(coreset_size=80, final_trees=10)
+        batches, _ = prepare_batches(spark, sc, cfg)
+        b = batches[0]
+        stamp = {f"stamp__{part}" for part in ("epoch", "month", "dow", "hour")}
+        assert {b.names[j] for j in b.base_idx} == stamp | {"x"}
+        assert {b.names[j] for j in b.aug_idx} == {"stamp__v"}
+        _, _, names, tables = arda._final_matrix(sc, ["stamp__v"], cfg.seed)
+        assert stamp | {"x", "stamp__v"} == set(names)
+        assert dict(zip(names, tables))["stamp__v"] == "stamp"
+        assert all(dict(zip(names, tables))[nm] is None for nm in stamp)
+
+    def test_final_estimate_needs_prepared_joins(self, spark):
+        # a kept name from no prepared batch fails loudly instead of being
+        # dropped from the final matrix
+        sc = _stamp_scenario(spark)
+        with pytest.raises(ValueError, match="prepare_batches"):
+            final_estimate(spark, sc, ["stamp__v"], ArdaConfig(final_trees=10))

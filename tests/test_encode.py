@@ -26,6 +26,13 @@ class TestEncoder:
         assert "cat==a" in names and "cat==b" in names
         assert {"when__epoch", "when__month", "when__dow", "when__hour"} <= set(names)
 
+    def test_sources_name_each_features_raw_column(self, mixed_pdf):
+        enc = FeatureEncoder(target="target").fit(mixed_pdf)
+        src = dict(zip(enc.feature_names_, enc.sources_))
+        assert len(enc.sources_) == len(enc.feature_names_)
+        assert src["num"] == "num" and src["cat==a"] == src["cat==b"] == "cat"
+        assert {src[f"when__{p}"] for p in ("epoch", "month", "dow", "hour")} == {"when"}
+
     def test_transform_shape_matches_names(self, mixed_pdf):
         enc = FeatureEncoder(target="target").fit(mixed_pdf)
         X = enc.transform(mixed_pdf)

@@ -7,7 +7,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.experiments import common, table2, table3, table4, table5, table6
+from repro.core.arda import prepare_batches
+from repro.experiments import common, table1, table2, table3, table4, table5, table6
+from repro.selectors.tuple_ratio import tr_filter
 
 
 class TestHelpers:
@@ -47,6 +49,19 @@ class TestHelpers:
         monkeypatch.chdir(tmp_path)
         p = common.save_table(pd.DataFrame({"a": [1]}), "unit")
         assert pd.read_csv(p)["a"].tolist() == [1]
+
+    def test_tr_rule_keeps_categorical_features(self, spark):
+        sc = common.load(spark, "taxi", quick=True)
+        cfg = common.make_cfg(True)
+        batches, _ = prepare_batches(spark, sc, cfg)
+        tau = table1.TR_TAU["taxi"]
+        res = common.tr_standalone(spark, sc, batches, cfg, tau)
+        passing = {d.name for d in tr_filter(sc.base.count(), sc.candidates,
+                                             sc.repo.tables, tau) if d.keep}
+        table_of = {b.names[j]: b.col_tables[j] for b in batches for j in b.aug_idx}
+        onehot = [nm for nm in res.kept if "==" in nm]
+        assert onehot and {table_of[nm] for nm in onehot} <= passing
+        assert {table_of[nm] for nm in res.kept} == passing
 
     def test_method_result_row_drops_kept(self):
         r = common.MethodResult("d", "m", 0.5, 1.0, kept=["x"])
