@@ -19,12 +19,13 @@ can amortize the expensive parts across the many selectors they compare:
   batch into a numpy matrix.
 * ``run_selector``     — run one named selection method over the encoded
   batches, always force-keeping the base-table features; returns the kept
-  augmented feature names and the selection wall-clock.
+  augmented feature names.
 * ``final_estimate``   — encode the full joined base, keep the base
   features plus the kept ones, train the paper's lightly auto-optimized
   Random-Forest estimator, and report the holdout score.
 
-``run_arda`` composes the three for single-shot use.
+Jobs compose them: ``prepare_batches`` once per config, then
+``run_selector`` and ``final_estimate`` per method row.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.rifs import RIFSConfig, rifs_select
+from repro.core.rifs import RIFSConfig, rifs_fractions, rifs_select
 from repro.core.search import exponential_search
 from repro.coreset.sampling import build_coreset
 from repro.coreset.sketch import sketch_dataset
@@ -46,17 +47,23 @@ from repro.joins.plan import CandidateJoin, make_plan
 from repro.joins.resample import align_time_tables
 from repro.joins.soft import soft_left_join
 from repro.ml.encode import assemble
-from repro.ml.evaluate import Evaluator, accuracy, mae, make_estimator, train_test_split
-from repro.selectors import applicable, rank_scores  # registers all rankers
+from repro.ml.evaluate import Evaluator, holdout_score, make_estimator
+from repro.selectors import rank_scores  # registers all rankers
 from repro.selectors.tuple_ratio import tr_filter
 from repro.selectors.wrappers import backward_elimination, forward_selection, rfe
 from repro.repository.repo import Scenario
 
-__all__ = ["ArdaConfig", "ArdaResult", "prepare_batches", "run_selector",
-           "final_estimate", "run_arda", "Batch", "AugmentedTable"]
+__all__ = ["ArdaConfig", "prepare_batches", "run_selector", "final_estimate",
+           "Batch", "AugmentedTable"]
 
 _CHECKPOINT_EVERY = 8  # truncate join lineage on long batch chains
 _ROW_ID = "__row_id"
+_EVAL_DEPTH = 8
+# Wrapper methods fit the eval model hundreds of times per batch; they get
+# a lighter forest (the paper's point is their cost ORDER, which a cheaper
+# inner model preserves).
+_WRAPPER_TREES = 10
+_WRAPPER_DEPTH = 6
 
 
 @dataclass
@@ -65,19 +72,12 @@ class ArdaConfig:
     coreset_method: str = "uniform"  # uniform | stratified | sketch
     join_strategy: str = "budget"  # table | budget | full
     budget: int | None = None  # feature budget; default = coreset_size
-    selector: str = "rifs"
     rifs: RIFSConfig = field(default_factory=RIFSConfig)
     tr_tau: float | None = None  # TR-rule prefilter threshold (None = off)
     seed: int = 0
     eval_trees: int = 25
-    eval_depth: int = 8
     final_trees: int = 60
     wrapper_max_features: int = 20  # forward-selection add cap
-    # Wrapper methods fit the eval model hundreds of times per batch; they
-    # get a lighter forest (the paper's point is their cost ORDER, which a
-    # cheaper inner model preserves).
-    wrapper_trees: int = 10
-    wrapper_depth: int = 6
     wrapper_pool: int = 32  # forward-selection candidate pool
 
 
@@ -115,19 +115,6 @@ class AugmentedTable:
                 and (c not in self.source or self.source[c] in tables)]
         rows = self.frame if row_ids is None else self.frame.loc[row_ids]
         return rows[cols].reset_index(drop=True)
-
-
-@dataclass
-class ArdaResult:
-    scenario: str
-    selector: str
-    score: float  # holdout accuracy (cls) or MAE (reg) of the final model
-    n_selected: int
-    selected: list[str]
-    select_time_s: float
-    total_time_s: float
-    n_tables_used: int
-    extra: dict = field(default_factory=dict)
 
 
 def join_candidate(df: DataFrame, cand: CandidateJoin, foreign: DataFrame,
@@ -211,7 +198,6 @@ def _apply_tr_prefilter(scenario: Scenario, candidates: list[CandidateJoin],
 def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
                     ) -> tuple[list[Batch], dict]:
     """Join plan + joins + coreset + encoding. Returns (batches, info)."""
-    t0 = time.perf_counter()
     info: dict = {}
     size = cfg.coreset_size
     candidates = list(scenario.candidates)
@@ -242,7 +228,6 @@ def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
         is_base = _base_mask(enc.sources_, col_tables, scenario)
         batches.append(Batch(X, y, names, np.flatnonzero(is_base),
                              np.flatnonzero(~is_base), col_tables))
-    info["prepare_time_s"] = time.perf_counter() - t0
     return batches, info
 
 
@@ -251,39 +236,42 @@ def _select_in_batch(batch: Batch, selector: str, task: str, cfg: ArdaConfig
     """Run one selector on one batch; returns (kept augmented names, fits)."""
     if selector in ("forward_selection", "backward_selection", "rfe"):
         ev = Evaluator(batch.X, batch.y, task, seed=cfg.seed,
-                       n_trees=cfg.wrapper_trees, max_depth=cfg.wrapper_depth)
+                       n_trees=_WRAPPER_TREES, max_depth=_WRAPPER_DEPTH)
     else:
         ev = Evaluator(batch.X, batch.y, task, seed=cfg.seed,
-                       n_trees=cfg.eval_trees, max_depth=cfg.eval_depth)
+                       n_trees=cfg.eval_trees, max_depth=_EVAL_DEPTH)
     if selector == "rifs":
-        res = rifs_select(ev, cfg.rifs, force_keep=batch.base_idx)
+        fractions = rifs_fractions(batch.X, batch.y, task, cfg.rifs, cfg.seed)
+        selected = rifs_select(ev, fractions, cfg.rifs, force_keep=batch.base_idx)
     elif selector == "forward_selection":
-        res = forward_selection(ev, max_features=cfg.wrapper_max_features,
-                                candidate_pool=cfg.wrapper_pool, seed=cfg.seed)
+        selected = forward_selection(ev, max_features=cfg.wrapper_max_features,
+                                     candidate_pool=cfg.wrapper_pool, seed=cfg.seed)
     elif selector == "backward_selection":
-        res = backward_elimination(ev, seed=cfg.seed)
+        selected = backward_elimination(ev, seed=cfg.seed)
     elif selector == "rfe":
-        res = rfe(ev, seed=cfg.seed)
+        selected = rfe(ev, seed=cfg.seed)
     else:  # plain ranking + exponential search (paper §6.3 cut)
         scores = rank_scores(selector, batch.X, batch.y, task, cfg.seed)
-        res = exponential_search(ev, scores, force_keep=batch.base_idx)
+        selected = exponential_search(ev, scores, force_keep=batch.base_idx)
     aug = set(batch.aug_idx.tolist())
-    kept = [batch.names[j] for j in res.selected if j in aug]
-    return kept, res.n_model_fits
+    kept = [batch.names[j] for j in selected if j in aug]
+    return kept, ev.n_evals
 
 
 def run_selector(batches: list[Batch], selector: str, task: str,
                  cfg: ArdaConfig) -> tuple[list[str], float, int]:
-    """Selection across all batches; returns (kept names, seconds, fits)."""
-    if selector in ("baseline", "none"):
+    """Selection across all batches; returns (kept names, seconds, fits).
+
+    ``baseline`` keeps no augmented feature and ``all_features`` keeps
+    every one; other names are selectors (a ranker that is n/a for
+    ``task`` raises ``ValueError``).
+    """
+    if selector == "baseline":
         return [], 0.0, 0
     t0 = time.perf_counter()
     if selector == "all_features":
-        kept = [nm for b in batches for nm in (batch_aug_names(b))]
+        kept = [b.names[j] for b in batches for j in b.aug_idx]
         return kept, time.perf_counter() - t0, 0
-    if not applicable(selector, task) and selector not in (
-            "rifs", "forward_selection", "backward_selection", "rfe", "all_features"):
-        raise ValueError(f"selector {selector!r} is n/a for task {task!r}")
     kept: list[str] = []
     fits = 0
     for b in batches:
@@ -314,10 +302,6 @@ def _union_batch(batches: list[Batch], kept_names: list[str]) -> Batch:
     n_base = len(b0.base_idx)
     return Batch(X, b0.y, names, np.arange(n_base),
                  np.arange(n_base, X.shape[1]), col_tables)
-
-
-def batch_aug_names(b: Batch) -> list[str]:
-    return [b.names[j] for j in b.aug_idx]
 
 
 def _final_matrix(scenario: Scenario, kept_names: list[str], seed: int
@@ -357,39 +341,16 @@ def final_estimate(spark: SparkSession, scenario: Scenario,
 
 def _estimate_from_matrix(scenario: Scenario, Xs: np.ndarray, y: np.ndarray,
                           cfg: ArdaConfig) -> float:
-    strat = y if scenario.task == "cls" else None
     # Average over two holdout splits to damp split noise; within each,
     # "lightly auto-optimized": two capacities, keep the better (paper §7).
     split_scores = []
     for split_seed in (cfg.seed, cfg.seed + 1000):
-        tr, te = train_test_split(len(y), 0.25, split_seed, strat)
-        best = None
-        for depth in (8, 12):
-            m = make_estimator(scenario.task, seed=cfg.seed,
-                               n_trees=cfg.final_trees, max_depth=depth)
-            m.fit(Xs[tr], y[tr])
-            pred = m.predict(Xs[te])
-            s = accuracy(y[te], pred) if scenario.task == "cls" else -mae(y[te], pred)
-            if best is None or s > best:
-                best = s
-        split_scores.append(best)
+        split_scores.append(max(
+            holdout_score(Xs, y, scenario.task,
+                          make_estimator(scenario.task, seed=cfg.seed,
+                                         n_trees=cfg.final_trees, max_depth=depth),
+                          seed=split_seed)
+            for depth in (8, 12)))
     avg = float(np.mean(split_scores))
     return float(avg if scenario.task == "cls" else -avg)
 
-
-def run_arda(spark: SparkSession, scenario: Scenario,
-             cfg: ArdaConfig | None = None) -> ArdaResult:
-    """Single-shot pipeline: prepare, select with ``cfg.selector``, estimate."""
-    cfg = cfg or ArdaConfig()
-    t0 = time.perf_counter()
-    if cfg.selector in ("baseline", "none"):
-        score, _ = final_estimate(spark, scenario, [], cfg)
-        dt = time.perf_counter() - t0
-        return ArdaResult(scenario.name, cfg.selector, score, 0, [], 0.0, dt, 0)
-    batches, info = prepare_batches(spark, scenario, cfg)
-    kept, sel_s, fits = run_selector(batches, cfg.selector, scenario.task, cfg)
-    score, n_tables = final_estimate(spark, scenario, kept, cfg)
-    dt = time.perf_counter() - t0
-    return ArdaResult(scenario.name, cfg.selector, score, len(kept), kept,
-                      sel_s, dt, n_tables,
-                      extra={"model_fits": fits, **info})

@@ -7,19 +7,18 @@ noise that "looks like" the input. Algorithm 1 ranks [A | N] with the
 RF + sparse-regression ensemble k times with fresh noise, and scores each
 real feature by the fraction of repeats in which it beat *every* injected
 feature. Algorithm 3 sweeps an increasing threshold list over that
-fraction, training the estimator per threshold, and stops when holdout
-accuracy stops increasing monotonically.
+fraction, training the estimator per threshold; the paper stops when
+holdout accuracy stops increasing monotonically, this keeps the argmax
+over the whole threshold grid (DESIGN.md §2).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.ranking import ensemble_scores
 from repro.ml.evaluate import Evaluator
-from repro.selectors.base import SelectionResult
 
 __all__ = ["inject_random_features", "rifs_fractions", "rifs_select", "RIFSConfig"]
 
@@ -48,14 +47,13 @@ class RIFSConfig:
     k: int = 10
     nu: float = 0.5
     thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-    seed: int = 0
 
 
 def rifs_fractions(X: np.ndarray, y: np.ndarray, task: str,
-                   cfg: RIFSConfig = RIFSConfig(),
-                   rank_fn=ensemble_scores) -> np.ndarray:
+                   cfg: RIFSConfig = RIFSConfig(), seed: int = 0) -> np.ndarray:
     """Algorithm 1 core: r*[j] = fraction of the k injection rounds in
-    which feature j ranked ahead of ALL injected random features.
+    which feature j ranked ahead of ALL injected random features. Round
+    ``it`` draws its noise and its ranking forest from ``seed * 1000 + it``.
 
     Features are standardized before moment-matching: on heterogeneous
     raw scales the empirical mean feature vector is dominated by the
@@ -70,39 +68,32 @@ def rifs_fractions(X: np.ndarray, y: np.ndarray, task: str,
     n, d = X.shape
     wins = np.zeros(d)
     for it in range(cfg.k):
-        N = inject_random_features(X, cfg.eta, seed=cfg.seed * 1000 + it)
+        N = inject_random_features(X, cfg.eta, seed=seed * 1000 + it)
         Xp = np.hstack([X, N])
-        agg = rank_fn(Xp, y, task, nu=cfg.nu, seed=cfg.seed * 1000 + it)
+        agg = ensemble_scores(Xp, y, task, nu=cfg.nu, seed=seed * 1000 + it)
         noise_max = agg[d:].max()
         wins += agg[:d] > noise_max
     return wins / cfg.k
 
 
-def rifs_select(ev: Evaluator, cfg: RIFSConfig = RIFSConfig(),
-                force_keep: np.ndarray | None = None,
-                fractions: np.ndarray | None = None,
-                stop_on_decrease: bool = False) -> SelectionResult:
-    """Algorithm 3: sweep increasing tau over r*, training the estimator
-    per threshold, and return the best-scoring subset.
+def rifs_select(ev: Evaluator, fractions: np.ndarray,
+                cfg: RIFSConfig = RIFSConfig(),
+                force_keep: np.ndarray | None = None) -> np.ndarray:
+    """Algorithm 3: sweep increasing tau over the Algorithm-1
+    ``fractions``, training the estimator per threshold, and return the
+    sorted column indices of the best-scoring subset.
 
     The paper stops the sweep at the first non-monotone accuracy and
     outputs the previous subset; since |T| is a small constant either
-    way, the default here evaluates the whole grid and returns the argmax
-    — strictly more robust to holdout noise at the same O(|T|) model
-    fits. ``stop_on_decrease=True`` restores the literal Algorithm 3.
+    way, this evaluates the whole grid and returns the argmax — strictly
+    more robust to holdout noise at the same O(|T|) model fits.
 
     ``force_keep`` columns (the user's base-table features in the ARDA
     pipeline) are excluded from pruning and present in every candidate.
-    ``fractions`` may be precomputed (so jobs can reuse one Algorithm-1
-    pass across sweeps); otherwise computed here.
     """
-    t0 = time.perf_counter()
-    if fractions is None:
-        fractions = rifs_fractions(ev.X, ev.y, ev.task, cfg)
     fk = (np.asarray(force_keep, dtype=int)
           if force_keep is not None else np.empty(0, dtype=int))
     fk_set = set(fk.tolist())
-    prev_score = -np.inf
     best_subset = fk
     best_score = -np.inf
     prev_sel: np.ndarray | None = None
@@ -115,8 +106,4 @@ def rifs_select(ev: Evaluator, cfg: RIFSConfig = RIFSConfig(),
         s = ev.score(sel)
         if s > best_score:
             best_score, best_subset = s, sel
-        if stop_on_decrease and s < prev_score:
-            break  # literal Algorithm 3: stop at first non-monotone step
-        prev_score = s
-    return SelectionResult(best_subset, best_score, time.perf_counter() - t0,
-                           ev.n_evals, extra={"fractions": fractions})
+    return best_subset

@@ -9,26 +9,22 @@ in prediction error", so we keep the argmax, not the last prefix).
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.ml.evaluate import Evaluator
-from repro.selectors.base import SelectionResult
 
 __all__ = ["exponential_search"]
 
 
 def exponential_search(ev: Evaluator, scores: np.ndarray,
-                       force_keep: np.ndarray | None = None) -> SelectionResult:
-    """Cut ``scores`` (higher = better) into a subset via doubling + bisection.
+                       force_keep: np.ndarray | None = None) -> np.ndarray:
+    """Cut ``scores`` (higher = better) into a subset via doubling + bisection;
+    returns the sorted column indices of the best subset.
 
     ``force_keep`` columns are always part of every evaluated subset (ARDA
     keeps all base-table features in the output; selection is over the
     augmented ones).
     """
-    t0 = time.perf_counter()
-    d = len(scores)
     order = np.argsort(scores)[::-1]
     if force_keep is None:
         force_keep = np.empty(0, dtype=int)
@@ -44,8 +40,7 @@ def exponential_search(ev: Evaluator, scores: np.ndarray,
 
     n_rankable = len(order)
     if n_rankable == 0:
-        s = ev.score(base)
-        return SelectionResult(np.sort(base), s, time.perf_counter() - t0, ev.n_evals)
+        return np.sort(base)
 
     # Doubling pass: evaluate every 2^i prefix (O(log d) fits). The paper
     # stops at the first accuracy decrease; holdout noise makes that stop
@@ -78,5 +73,4 @@ def exponential_search(ev: Evaluator, scores: np.ndarray,
                 a = mid
             else:
                 b = mid
-    return SelectionResult(np.sort(subset(best_m)), best_s,
-                           time.perf_counter() - t0, ev.n_evals)
+    return np.sort(subset(best_m))

@@ -24,6 +24,7 @@ from repro.core.rifs import RIFSConfig
 from repro.ml.automl import automl_best_score
 from repro.repository import datasets
 from repro.repository.repo import Scenario
+from repro.selectors import applicable
 from repro.selectors.tuple_ratio import tr_filter
 
 __all__ = ["broadcast_joins", "make_cfg", "scenario_sizes", "load",
@@ -32,11 +33,11 @@ __all__ = ["broadcast_joins", "make_cfg", "scenario_sizes", "load",
            "automl_rows"]
 
 # Paper Table 1 / Table 6 method rows (ours; AutoML rows handled separately)
-_COMMON = ["rifs", "backward_selection", "forward_selection", "rfe",
-           "sparse_regression", "random_forest", "f_test", "mutual_info",
-           "relief"]
-REG_SELECTORS = _COMMON + ["lasso"]
-CLS_SELECTORS = _COMMON + ["linear_svc", "logistic_reg"]
+_METHODS = ["rifs", "backward_selection", "forward_selection", "rfe",
+            "sparse_regression", "random_forest", "f_test", "mutual_info",
+            "relief", "lasso", "linear_svc", "logistic_reg"]
+REG_SELECTORS = [m for m in _METHODS if applicable(m, "reg")]
+CLS_SELECTORS = [m for m in _METHODS if applicable(m, "cls")]
 
 
 def selector_list(task: str) -> list[str]:
@@ -125,12 +126,8 @@ def run_method(spark, scenario: Scenario, batches: list[Batch],
     """One Table-1/6 row: selection + final estimate, timed together
     (the paper's time column is 'feature selection and evaluation time')."""
     t0 = time.perf_counter()
-    if selector == "baseline":
-        kept: list[str] = []
-        score, n_tables = final_estimate(spark, scenario, kept, cfg)
-    else:
-        kept, _, _ = run_selector(batches, selector, scenario.task, cfg)
-        score, n_tables = final_estimate(spark, scenario, kept, cfg)
+    kept, _, _ = run_selector(batches, selector, scenario.task, cfg)
+    score, n_tables = final_estimate(spark, scenario, kept, cfg)
     return MethodResult(scenario.name, selector, score,
                         time.perf_counter() - t0, len(kept), n_tables, kept)
 

@@ -18,10 +18,12 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-__all__ = ["preaggregate", "left_join", "prefix_columns"]
+__all__ = ["preaggregate", "left_join", "prefix_columns", "NUMERIC_TYPES"]
 
-_NUMERIC = (T.IntegerType, T.LongType, T.FloatType, T.DoubleType,
-            T.ShortType, T.ByteType, T.DecimalType)
+# Spark types treated as numeric: mean (not min) pre-aggregation here,
+# interpolation in two-way soft joins, median imputation.
+NUMERIC_TYPES = (T.IntegerType, T.LongType, T.FloatType, T.DoubleType,
+                 T.ShortType, T.ByteType, T.DecimalType)
 
 
 def preaggregate(foreign: DataFrame, keys: list[str]) -> DataFrame:
@@ -30,7 +32,7 @@ def preaggregate(foreign: DataFrame, keys: list[str]) -> DataFrame:
     for f in foreign.schema.fields:
         if f.name in keys:
             continue
-        if isinstance(f.dataType, _NUMERIC):
+        if isinstance(f.dataType, NUMERIC_TYPES):
             aggs.append(F.avg(F.col(f.name)).alias(f.name))
         else:
             aggs.append(F.min(F.col(f.name)).alias(f.name))

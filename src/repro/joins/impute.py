@@ -13,18 +13,11 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-__all__ = ["impute", "numeric_medians"]
+from repro.joins.executor import NUMERIC_TYPES
 
-_NUMERIC = (T.IntegerType, T.LongType, T.FloatType, T.DoubleType,
-            T.ShortType, T.ByteType, T.DecimalType)
+__all__ = ["impute"]
+
 _MAX_CAT_DOMAIN = 200
-
-
-def numeric_medians(df: DataFrame, cols: list[str]) -> dict[str, float]:
-    if not cols:
-        return {}
-    row = df.agg(*[F.percentile_approx(F.col(c), 0.5).alias(c) for c in cols]).collect()[0]
-    return {c: (0.0 if row[c] is None else float(row[c])) for c in cols}
 
 
 def impute(df: DataFrame, cols: list[str] | None = None, seed: int = 0) -> DataFrame:
@@ -32,7 +25,7 @@ def impute(df: DataFrame, cols: list[str] | None = None, seed: int = 0) -> DataF
     value (or a constant fallback when a column is entirely NULL)."""
     target = set(cols) if cols is not None else {f.name for f in df.schema.fields}
     num_cols = [f.name for f in df.schema.fields
-                if f.name in target and isinstance(f.dataType, _NUMERIC)]
+                if f.name in target and isinstance(f.dataType, NUMERIC_TYPES)]
     cat_cols = [f.name for f in df.schema.fields
                 if f.name in target and isinstance(f.dataType, (T.StringType, T.BooleanType))]
     if not num_cols and not cat_cols:

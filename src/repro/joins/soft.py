@@ -12,11 +12,11 @@ exact match. Implementation is pure Catalyst:
    side of equal base keys;
 3. base rows join back to the foreign rows at their floor/ceil keys.
 
-``mode="nearest"`` keeps the closer of the two (ties -> floor) and NULLs
-all features when the distance exceeds ``tolerance``. ``mode="two_way"``
-linearly interpolates: x = lam*y_low + (1-lam)*y_high, joined row =
-lam*r_low + (1-lam)*r_high for numerics; categoricals pick r_low with
-probability lam (paper: "selected uniformly at random" in proportion).
+``mode="nearest"`` keeps the closer of the two (ties -> floor).
+``mode="two_way"`` linearly interpolates: x = lam*y_low + (1-lam)*y_high,
+joined row = lam*r_low + (1-lam)*r_high for numerics; categoricals pick
+r_low with probability lam (paper: "selected uniformly at random" in
+proportion).
 """
 from __future__ import annotations
 
@@ -24,12 +24,9 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.joins.executor import preaggregate, prefix_columns
+from repro.joins.executor import NUMERIC_TYPES, preaggregate, prefix_columns
 
 __all__ = ["soft_left_join"]
-
-_NUMERIC = (T.IntegerType, T.LongType, T.FloatType, T.DoubleType,
-            T.ShortType, T.ByteType, T.DecimalType)
 
 
 def _as_double(col, dtype) -> "F.Column":
@@ -40,7 +37,7 @@ def _as_double(col, dtype) -> "F.Column":
 
 def soft_left_join(base: DataFrame, foreign: DataFrame, base_key: str,
                    foreign_key: str, prefix: str, mode: str = "nearest",
-                   tolerance: float | None = None, seed: int = 0) -> DataFrame:
+                   seed: int = 0) -> DataFrame:
     """LEFT soft-join preserving every base row exactly once."""
     if mode not in ("nearest", "two_way"):
         raise ValueError(f"unknown soft-join mode {mode!r}")
@@ -78,12 +75,8 @@ def soft_left_join(base: DataFrame, foreign: DataFrame, base_key: str,
         d_lo = F.when(lo_k.isNull(), F.lit(float("inf"))).otherwise(F.abs(x - lo_k))
         d_hi = F.when(hi_k.isNull(), F.lit(float("inf"))).otherwise(F.abs(x - hi_k))
         use_lo = d_lo <= d_hi
-        dist = F.least(d_lo, d_hi)
-        in_tol = F.lit(True) if tolerance is None else (dist <= F.lit(float(tolerance)))
-        picks = []
-        for c in val_cols:
-            v = F.when(use_lo, F.col(f"__lo__{c}")).otherwise(F.col(f"__hi__{c}"))
-            picks.append(F.when(in_tol, v).alias(f"{prefix}__{c}"))
+        picks = [F.when(use_lo, F.col(f"__lo__{c}")).otherwise(F.col(f"__hi__{c}"))
+                 .alias(f"{prefix}__{c}") for c in val_cols]
         lut_out = lut.select("__bk", *picks)
     else:  # two_way
         span = hi_k - lo_k
@@ -93,7 +86,7 @@ def soft_left_join(base: DataFrame, foreign: DataFrame, base_key: str,
         picks = []
         for c in val_cols:
             lo_v, hi_v = F.col(f"__lo__{c}"), F.col(f"__hi__{c}")
-            if isinstance(fagg.schema[c].dataType, _NUMERIC):
+            if isinstance(fagg.schema[c].dataType, NUMERIC_TYPES):
                 v = (F.when(lo_v.isNull(), hi_v).when(hi_v.isNull(), lo_v)
                       .otherwise(lam * lo_v + (F.lit(1.0) - lam) * hi_v))
             else:

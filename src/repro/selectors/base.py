@@ -1,21 +1,20 @@
-"""Ranker/selector interfaces and the registry used by jobs and ARDA.
+"""The ranker registry used by jobs and ARDA.
 
 Paper §7 distinguishes *ranking* methods (random forest, sparse
 regression, mutual info, logistic regression, lasso, relief, linear SVM,
 f-test) — which produce per-feature scores that are then cut with the
 exponential doubling + binary search of §6.3 — from *wrapper* methods
 (forward/backward selection, RFE) that drive the model loop themselves,
-and from RIFS. ``select`` dispatches all of them behind one interface.
+and from RIFS. ``rank_scores`` runs a registered ranker; every selector
+returns the sorted indices of the columns it keeps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["Ranker", "SelectionResult", "RANKERS", "register_ranker",
-           "rank_scores", "applicable"]
+__all__ = ["RANKERS", "register_ranker", "rank_scores", "applicable"]
 
 # name -> callable(X, y, task, seed) -> scores (len d, higher = better)
 RANKERS: dict[str, Callable] = {}
@@ -28,19 +27,11 @@ def register_ranker(name: str):
     return deco
 
 
-@dataclass
-class Ranker:
-    """A named scoring function over feature columns."""
-
-    name: str
-
-    def rank(self, X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> np.ndarray:
-        return rank_scores(self.name, X, y, task, seed)
-
-
 def rank_scores(name: str, X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> np.ndarray:
     if name not in RANKERS:
         raise KeyError(f"unknown ranker {name!r}; have {sorted(RANKERS)}")
+    if not applicable(name, task):
+        raise ValueError(f"ranker {name!r} is n/a for task {task!r}")
     s = np.asarray(RANKERS[name](X, y, task, seed), dtype=float)
     if s.shape != (X.shape[1],):
         raise ValueError(f"ranker {name} returned shape {s.shape} for d={X.shape[1]}")
@@ -53,14 +44,3 @@ def applicable(name: str, task: str) -> bool:
     if task == "cls":
         return name != "lasso"
     return name not in ("logistic_reg", "linear_svc")
-
-
-@dataclass
-class SelectionResult:
-    """Outcome of a feature-selection run."""
-
-    selected: np.ndarray  # sorted indices into the feature matrix
-    score: float  # holdout score of the selected subset (acc or -MAE)
-    elapsed_s: float
-    n_model_fits: int = 0
-    extra: dict = field(default_factory=dict)

@@ -44,20 +44,14 @@ def _rf_ranker(X, y, task, seed=0):
 
 @register_ranker("lasso")
 def _lasso_ranker(X, y, task, seed=0):
-    if task == "cls":
-        raise ValueError("lasso ranker is regression-only (paper Table 1: n/a)")
     return lasso_scores(X, y, seed)
 
 
 @register_ranker("logistic_reg")
 def _logreg_ranker(X, y, task, seed=0):
-    if task == "reg":
-        raise ValueError("logistic regression ranker is classification-only")
     return logistic_scores(X, y, seed)
 
 
 @register_ranker("linear_svc")
 def _svc_ranker(X, y, task, seed=0):
-    if task == "reg":
-        raise ValueError("linear SVC ranker is classification-only")
     return svc_scores(X, y, seed)

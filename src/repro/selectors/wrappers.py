@@ -9,12 +9,9 @@ of Tables 1 and 6 — cost is O(d) model fits per step.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.ml.evaluate import Evaluator
-from repro.selectors.base import SelectionResult
 from repro.selectors.embedded import random_forest_scores
 
 __all__ = ["forward_selection", "backward_elimination", "rfe"]
@@ -22,7 +19,7 @@ __all__ = ["forward_selection", "backward_elimination", "rfe"]
 
 def forward_selection(ev: Evaluator, max_features: int = 24,
                       patience: int = 2, candidate_pool: int | None = 64,
-                      seed: int = 0) -> SelectionResult:
+                      seed: int = 0) -> np.ndarray:
     """Greedy add; stop after ``patience`` consecutive non-improving adds.
 
     ``candidate_pool`` pre-truncates the search to the top-N RF-ranked
@@ -31,7 +28,6 @@ def forward_selection(ev: Evaluator, max_features: int = 24,
     the pool preserves the method's behaviour (greedy, model-driven,
     slowest-but-strong) at container scale.
     """
-    t0 = time.perf_counter()
     d = ev.X.shape[1]
     if candidate_pool is not None and d > candidate_pool:
         imp = random_forest_scores(ev.X, ev.y, ev.task, seed)
@@ -51,18 +47,16 @@ def forward_selection(ev: Evaluator, max_features: int = 24,
             best_total, best_set, bad = s, list(chosen), 0
         else:
             bad += 1
-    return SelectionResult(np.array(sorted(best_set), dtype=int), best_total,
-                           time.perf_counter() - t0, ev.n_evals)
+    return np.array(sorted(best_set), dtype=int)
 
 
 def backward_elimination(ev: Evaluator, min_features: int = 2,
                          max_start: int = 48, max_rounds: int = 12,
-                         seed: int = 0) -> SelectionResult:
+                         seed: int = 0) -> np.ndarray:
     """Greedy remove, starting from the top-``max_start`` RF-ranked features
     (a full backward pass over hundreds of features is quadratic in model
     fits; the paper's own runtimes show this is the most expensive method).
     ``max_rounds`` bounds the elimination rounds at container scale."""
-    t0 = time.perf_counter()
     d = ev.X.shape[1]
     if d > max_start:
         imp = random_forest_scores(ev.X, ev.y, ev.task, seed)
@@ -80,15 +74,13 @@ def backward_elimination(ev: Evaluator, min_features: int = 2,
         if s >= best_total:
             current.remove(j)
             best_total, best_set, improved = s, list(current), True
-    return SelectionResult(np.array(sorted(best_set), dtype=int), best_total,
-                           time.perf_counter() - t0, ev.n_evals)
+    return np.array(sorted(best_set), dtype=int)
 
 
 def rfe(ev: Evaluator, drop_frac: float = 0.5, min_features: int = 2,
-        seed: int = 0) -> SelectionResult:
+        seed: int = 0) -> np.ndarray:
     """Recursive feature elimination: refit the RF ranker on the surviving
     set, drop the weakest ``drop_frac``, keep the best holdout subset."""
-    t0 = time.perf_counter()
     current = np.arange(ev.X.shape[1])
     best_total, best_set = -np.inf, current
     while len(current) >= min_features:
@@ -100,5 +92,4 @@ def rfe(ev: Evaluator, drop_frac: float = 0.5, min_features: int = 2,
         imp = random_forest_scores(ev.X[:, current], ev.y, ev.task, seed)
         keep = max(min_features, int(len(current) * (1 - drop_frac)))
         current = current[np.argsort(imp)[::-1][:keep]]
-    return SelectionResult(np.sort(best_set).astype(int), best_total,
-                           time.perf_counter() - t0, ev.n_evals)
+    return np.sort(best_set).astype(int)

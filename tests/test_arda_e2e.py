@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import arda
 from repro.core.arda import (ArdaConfig, final_estimate, join_candidate,
-                             prepare_batches, run_arda, run_selector)
+                             prepare_batches, run_selector)
 from repro.core.rifs import RIFSConfig
 from repro.joins.plan import CandidateJoin
 from repro.repository import datasets
@@ -64,7 +64,8 @@ class TestSelectors:
     def test_augmentation_beats_baseline(self, spark, school, school_cfg,
                                          school_batches):
         batches, _ = school_batches
-        base_score, _ = final_estimate(spark, school, [], school_cfg)
+        base_score, base_tables = final_estimate(spark, school, [], school_cfg)
+        assert base_tables == 0
         kept, _, _ = run_selector(batches, "rifs", "cls", school_cfg)
         rifs_score, _ = final_estimate(spark, school, kept, school_cfg)
         assert rifs_score > base_score + 0.05
@@ -136,20 +137,6 @@ class TestStrategies:
         assert len(b.aug_idx) == 0 and len(b.base_idx) == len(b.names) > 0
         kept, _, _ = run_selector(batches, "rifs", "cls", cfg)
         assert kept == []
-
-
-class TestRunArda:
-    def test_single_shot_rifs(self, spark, school):
-        cfg = ArdaConfig(coreset_size=300, rifs=RIFSConfig(k=3), eval_trees=12,
-                         final_trees=30, selector="rifs")
-        res = run_arda(spark, school, cfg)
-        assert res.selector == "rifs" and 0.5 < res.score <= 1.0
-        assert res.select_time_s > 0 and res.n_selected == len(res.selected)
-
-    def test_single_shot_baseline(self, spark, school):
-        cfg = ArdaConfig(selector="baseline")
-        res = run_arda(spark, school, cfg)
-        assert res.n_selected == 0 and res.n_tables_used == 0
 
 
 class TestSoftJoinIntegration:

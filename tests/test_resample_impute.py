@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.joins.impute import impute, numeric_medians
+from repro.joins.impute import impute
 from repro.joins.resample import (GRANULARITIES, align_time_tables,
                                   detect_granularity, resample_to)
 from repro.oracle import assert_equivalent
@@ -108,11 +108,6 @@ class TestImpute:
         out = impute(df, cols=["a"]).toPandas()
         assert not out["a"].isna().any()
         assert out["b"].isna().any()
-
-    def test_numeric_medians_helper(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"a": [1.0, 2.0, 3.0]}))
-        med = numeric_medians(df, ["a"])
-        assert med["a"] == pytest.approx(2.0)
 
     def test_bool_column_fill(self, spark):
         df = spark.createDataFrame(pd.DataFrame({"f": [True, None, False]}).astype(

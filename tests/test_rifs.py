@@ -3,6 +3,7 @@ exponential subset search."""
 import numpy as np
 import pytest
 
+from repro.core import arda, rifs
 from repro.core.ranking import ensemble_scores, normalized_rank
 from repro.core.rifs import (RIFSConfig, inject_random_features, rifs_fractions,
                              rifs_select)
@@ -78,13 +79,13 @@ class TestEnsemble:
 class TestFractions:
     def test_separates_signal_from_noise(self, planted):
         X, y = planted
-        fr = rifs_fractions(X, y, "reg", RIFSConfig(k=5, seed=0))
+        fr = rifs_fractions(X, y, "reg", RIFSConfig(k=5))
         assert fr[[0, 1, 2]].min() >= 0.8
         assert fr[6:].mean() < 0.3
 
     def test_range(self, planted):
         X, y = planted
-        fr = rifs_fractions(X, y, "reg", RIFSConfig(k=3, seed=0))
+        fr = rifs_fractions(X, y, "reg", RIFSConfig(k=3))
         assert (fr >= 0).all() and (fr <= 1).all()
 
     def test_scale_invariance(self, planted):
@@ -93,8 +94,8 @@ class TestFractions:
         X, y = planted
         Xs = X.copy()
         Xs[:, 10] *= 1e6
-        fr1 = rifs_fractions(X, y, "reg", RIFSConfig(k=3, seed=0))
-        fr2 = rifs_fractions(Xs, y, "reg", RIFSConfig(k=3, seed=0))
+        fr1 = rifs_fractions(X, y, "reg", RIFSConfig(k=3))
+        fr2 = rifs_fractions(Xs, y, "reg", RIFSConfig(k=3))
         assert fr2[[0, 1, 2]].min() >= 0.6
         assert abs(fr1[6:].mean() - fr2[6:].mean()) < 0.25
 
@@ -102,7 +103,7 @@ class TestFractions:
         rng = np.random.default_rng(1)
         X = np.hstack([rng.normal(size=(400, 3)), rng.normal(size=(400, 30))])
         y = (X[:, 0] - X[:, 1] > 0).astype(int)
-        fr = rifs_fractions(X, y, "cls", RIFSConfig(k=5, seed=0))
+        fr = rifs_fractions(X, y, "cls", RIFSConfig(k=5))
         assert fr[[0, 1]].min() >= 0.8
 
 
@@ -110,8 +111,8 @@ class TestRIFSSelect:
     def test_selects_mostly_signal(self, planted):
         X, y = planted
         ev = Evaluator(X, y, "reg", seed=0, n_trees=20)
-        res = rifs_select(ev, RIFSConfig(k=5, seed=0))
-        sel = set(res.selected.tolist())
+        cfg = RIFSConfig(k=5)
+        sel = set(rifs_select(ev, rifs_fractions(X, y, "reg", cfg), cfg).tolist())
         assert {0, 1, 2} <= sel
         noise_kept = [j for j in sel if j >= 6]
         assert len(noise_kept) <= 5
@@ -119,26 +120,38 @@ class TestRIFSSelect:
     def test_force_keep_respected(self, planted):
         X, y = planted
         ev = Evaluator(X, y, "reg", seed=0, n_trees=15)
-        res = rifs_select(ev, RIFSConfig(k=3, seed=0), force_keep=np.array([50, 51]))
-        assert {50, 51} <= set(res.selected.tolist())
+        cfg = RIFSConfig(k=3)
+        sel = rifs_select(ev, rifs_fractions(X, y, "reg", cfg), cfg,
+                          force_keep=np.array([50, 51]))
+        assert {50, 51} <= set(sel.tolist())
 
     def test_precomputed_fractions_reused(self, planted):
         X, y = planted
         fr = np.zeros(X.shape[1])
         fr[[0, 1, 2]] = 1.0
         ev = Evaluator(X, y, "reg", seed=0, n_trees=15)
-        res = rifs_select(ev, RIFSConfig(k=1, seed=0), fractions=fr)
-        assert set(res.selected.tolist()) == {0, 1, 2}
+        sel = rifs_select(ev, fr, RIFSConfig(k=1))
+        assert set(sel.tolist()) == {0, 1, 2}
 
-    def test_stop_on_decrease_literal_mode(self, planted):
+
+class TestPipelineSeed:
+    def test_pipeline_seed_drives_injection(self, planted, monkeypatch):
+        # round `it` of Alg. 1 draws its noise from ArdaConfig.seed * 1000 + it
         X, y = planted
-        fr = np.zeros(X.shape[1])
-        fr[[0, 1, 2]] = 1.0
-        fr[10:20] = 0.15
-        ev = Evaluator(X, y, "reg", seed=0, n_trees=15)
-        res = rifs_select(ev, RIFSConfig(k=1, thresholds=(0.1, 0.5, 1.0), seed=0),
-                          fractions=fr, stop_on_decrease=True)
-        assert {0, 1, 2} <= set(res.selected.tolist())
+        X, y = X[:200, :20], y[:200]
+        seeds, inject = [], rifs.inject_random_features
+
+        def spy(*args, seed, **kwargs):
+            seeds.append(seed)
+            return inject(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(rifs, "inject_random_features", spy)
+        d = X.shape[1]
+        batch = arda.Batch(X, y, [f"f{j}" for j in range(d)], np.arange(0),
+                           np.arange(d), ["t"] * d)
+        cfg = arda.ArdaConfig(seed=3, rifs=RIFSConfig(k=3), eval_trees=5)
+        arda.run_selector([batch], "rifs", "reg", cfg)
+        assert seeds == [3000, 3001, 3002]
 
 
 class TestExponentialSearch:
@@ -147,8 +160,8 @@ class TestExponentialSearch:
         scores = np.zeros(X.shape[1])
         scores[[0, 1, 2]] = [3, 2, 1]
         ev = Evaluator(X, y, "reg", seed=0, n_trees=20)
-        res = exponential_search(ev, scores)
-        assert {0, 1, 2} <= set(res.selected.tolist())
+        sel = exponential_search(ev, scores)
+        assert {0, 1, 2} <= set(sel.tolist())
 
     def test_log_number_of_fits(self, planted):
         X, y = planted
@@ -161,15 +174,15 @@ class TestExponentialSearch:
     def test_force_keep_in_every_subset(self, planted):
         X, y = planted
         ev = Evaluator(X, y, "reg", seed=0, n_trees=10)
-        res = exponential_search(ev, np.random.default_rng(1).random(X.shape[1]),
+        sel = exponential_search(ev, np.random.default_rng(1).random(X.shape[1]),
                                  force_keep=np.array([7]))
-        assert 7 in res.selected.tolist()
+        assert 7 in sel.tolist()
 
     def test_empty_scores(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 2))
         y = X[:, 0]
         ev = Evaluator(X, y, "reg", seed=0, n_trees=5)
-        res = exponential_search(ev, np.array([1.0, 0.5]),
+        sel = exponential_search(ev, np.array([1.0, 0.5]),
                                  force_keep=np.array([0, 1]))
-        assert set(res.selected.tolist()) == {0, 1}
+        assert set(sel.tolist()) == {0, 1}

@@ -53,6 +53,8 @@ class TestRegistry:
             rank_scores("lasso", cls_data[0], cls_data[1], "cls")
         with pytest.raises(ValueError):
             rank_scores("logistic_reg", reg_data[0], reg_data[1], "reg")
+        with pytest.raises(ValueError):
+            rank_scores("linear_svc", reg_data[0], reg_data[1], "reg")
 
     @pytest.mark.parametrize("name", ["f_test", "mutual_info", "random_forest",
                                       "sparse_regression", "relief", "lasso"])
@@ -134,37 +136,36 @@ class TestWrappers:
     def test_forward_picks_signal(self, reg_data):
         X, y = reg_data
         ev = Evaluator(X, y, "reg", seed=0, n_trees=15)
-        res = forward_selection(ev, max_features=6)
-        assert {0, 1} <= set(res.selected.tolist())
-        assert res.n_model_fits > 10
+        sel = forward_selection(ev, max_features=6)
+        assert {0, 1} <= set(sel.tolist())
+        assert ev.n_evals > 10
 
     def test_forward_candidate_pool(self, reg_data):
         X, y = reg_data
         ev = Evaluator(X, y, "reg", seed=0, n_trees=10)
-        res = forward_selection(ev, max_features=4, candidate_pool=8)
-        assert len(res.selected) <= 4
+        sel = forward_selection(ev, max_features=4, candidate_pool=8)
+        assert len(sel) <= 4
 
     def test_backward_keeps_signal(self, reg_data):
         X, y = reg_data
         ev = Evaluator(X[:, :10], y, "reg", seed=0, n_trees=10)
-        res = backward_elimination(ev, max_rounds=6)
-        assert {0, 1} <= set(res.selected.tolist())
+        sel = backward_elimination(ev, max_rounds=6)
+        assert {0, 1} <= set(sel.tolist())
 
     def test_rfe_keeps_signal(self, reg_data):
         X, y = reg_data
         ev = Evaluator(X, y, "reg", seed=0, n_trees=10)
-        res = rfe(ev)
-        assert {0, 1} <= set(res.selected.tolist())
+        sel = rfe(ev)
+        assert {0, 1} <= set(sel.tolist())
 
     def test_rfe_shrinks(self, reg_data):
         X, y = reg_data
         ev = Evaluator(X, y, "reg", seed=0, n_trees=10)
-        res = rfe(ev, drop_frac=0.5, min_features=2)
-        assert len(res.selected) < 30
+        sel = rfe(ev, drop_frac=0.5, min_features=2)
+        assert len(sel) < 30
 
     def test_results_sorted_and_unique(self, cls_data):
         X, y = cls_data
         ev = Evaluator(X[:, :12], y, "cls", seed=0, n_trees=10)
-        res = forward_selection(ev, max_features=5)
-        sel = res.selected.tolist()
+        sel = forward_selection(ev, max_features=5).tolist()
         assert sel == sorted(set(sel))
