@@ -8,15 +8,15 @@ so a base row gets the same joined values on a coreset as on the full
 base. Each candidate table is therefore joined once per scenario and
 seed, onto the full base, and imputed with full-base statistics
 (``AugmentedTable``, cached on the ``Scenario``). A coreset is a row
-sample of that table; a batch and the final matrix are column
-projections of it.
+sample of that table, encoded once; a batch is a column slice of that
+matrix, and the final matrix an encoded column projection of the table.
 
 The pipeline is factored into three reusable pieces so experiment jobs
 can amortize the expensive parts across the many selectors they compare:
 
 * ``prepare_batches``  — join the plan's tables (soft keys, resampling,
-  pre-aggregation, imputation), sample the coreset rows, and encode each
-  batch into a numpy matrix.
+  pre-aggregation, imputation), sample the coreset rows, encode them into
+  one numpy matrix and slice each batch's columns out of it.
 * ``run_selector``     — run one named selection method over the encoded
   batches, always force-keeping the base-table features; returns the kept
   augmented feature names.
@@ -48,7 +48,7 @@ from repro.joins.resample import align_time_tables
 from repro.joins.soft import soft_left_join
 from repro.ml.encode import assemble
 from repro.ml.evaluate import Evaluator, holdout_score, make_estimator
-from repro.selectors import rank_scores  # registers all rankers
+from repro.selectors import rank_scores
 from repro.selectors.tuple_ratio import tr_filter
 from repro.selectors.wrappers import backward_elimination, forward_selection, rfe
 from repro.repository.repo import Scenario
@@ -107,15 +107,6 @@ class AugmentedTable:
     source: dict[str, str] = field(default_factory=dict)
     tables: set[str] = field(default_factory=set)
 
-    def project(self, tables: set[str], key_cols: list[str],
-                row_ids: list[int] | None = None) -> pd.DataFrame:
-        """Base columns (keys dropped) plus the columns of ``tables``, for
-        ``row_ids`` in that order (every row by default)."""
-        cols = [c for c in self.frame.columns if c not in key_cols
-                and (c not in self.source or self.source[c] in tables)]
-        rows = self.frame if row_ids is None else self.frame.loc[row_ids]
-        return rows[cols].reset_index(drop=True)
-
 
 def join_candidate(df: DataFrame, cand: CandidateJoin, foreign: DataFrame,
                    seed: int = 0) -> DataFrame:
@@ -124,10 +115,10 @@ def join_candidate(df: DataFrame, cand: CandidateJoin, foreign: DataFrame,
         bkey, fkey = cand.base_keys[0], cand.foreign_keys[0]
         foreign = align_time_tables(df, foreign, bkey, fkey)
         if cand.soft_mode == "hard_resample":
-            return left_join(df, foreign, [bkey], [fkey], cand.prefix)
-        return soft_left_join(df, foreign, bkey, fkey, cand.prefix,
+            return left_join(df, foreign, [bkey], [fkey], cand.table)
+        return soft_left_join(df, foreign, bkey, fkey, cand.table,
                               mode=cand.soft_mode, seed=seed)
-    return left_join(df, foreign, cand.base_keys, cand.foreign_keys, cand.prefix)
+    return left_join(df, foreign, cand.base_keys, cand.foreign_keys, cand.table)
 
 
 def _with_row_id(base: DataFrame, cols: list[str]) -> DataFrame:
@@ -175,15 +166,29 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     return aug
 
 
-def _base_mask(sources: list[str], col_tables: list[str | None],
-               scenario: Scenario) -> np.ndarray:
-    """True for features of the user's base table: joined from no table
-    and, in micro-benchmark scenarios (no repository), encoding one of
-    ``scenario.base_feature_cols`` — every other base column there is
-    augmentation to select over."""
+def _encode(scenario: Scenario, aug: AugmentedTable, tables: set[str],
+            row_ids: list[int] | None = None
+            ) -> tuple[np.ndarray, np.ndarray, list[str], list[str | None], np.ndarray]:
+    """Encode the base columns (keys dropped) plus the joined columns of
+    ``tables``, for ``row_ids`` in that order (every row by default).
+
+    Returns ``(X, y, names, col_tables, is_base)``: ``col_tables[j]`` is
+    the table feature ``j`` was joined from (None for the base), and
+    ``is_base[j]`` marks the user's base-table features — in
+    micro-benchmark scenarios (no repository) only those encoding one of
+    ``scenario.base_feature_cols``; every other base column there is
+    augmentation to select over.
+    """
+    cols = [c for c in aug.frame.columns if c not in scenario.key_cols
+            and (c not in aug.source or aug.source[c] in tables)]
+    rows = aug.frame if row_ids is None else aug.frame.loc[row_ids]
+    X, y, names, sources = assemble(rows[cols].reset_index(drop=True),
+                                    scenario.target, scenario.task)
+    col_tables = [aug.source.get(src) for src in sources]
     keep = scenario.base_feature_cols
-    return np.array([t is None and (keep is None or s in keep)
-                     for s, t in zip(sources, col_tables)], dtype=bool)
+    is_base = np.array([t is None and (keep is None or src in keep)
+                        for src, t in zip(sources, col_tables)], dtype=bool)
+    return X, y, names, col_tables, is_base
 
 
 def _apply_tr_prefilter(scenario: Scenario, candidates: list[CandidateJoin],
@@ -210,24 +215,34 @@ def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
     plan = make_plan(candidates, cfg.join_strategy, budget=budget) or [[]]
     info["n_batches"] = len(plan)
 
-    aug = _augment(scenario, [cand for batch in plan for cand in batch], cfg.seed)
+    cands = [cand for batch in plan for cand in batch]
+    aug = _augment(scenario, cands, cfg.seed)
     label = scenario.target if scenario.task == "cls" else None
     coreset = build_coreset(_with_row_id(scenario.base, [label] if label else []),
                             size, cfg.coreset_method, label_col=label, seed=cfg.seed)
     # Every batch matrix shares this row order, so the cross-batch pruning
     # pass can hstack kept columns from different batches.
     row_ids = [r[0] for r in coreset.select(_ROW_ID).collect()]
+    if not row_ids:
+        raise ValueError(f"empty coreset for scenario {scenario.name!r} "
+                         f"(coreset_size={size}): the base table has no rows")
+    # Encoding is per column and a sketch mixes only rows, so the plan's
+    # tables are encoded (and sketched) once and each batch is a column
+    # slice: the base columns plus those of its own tables.
+    X, y, names, col_tables, is_base = _encode(
+        scenario, aug, {cand.table for cand in cands}, row_ids)
+    if cfg.coreset_method == "sketch":
+        X, y = sketch_dataset(X, y, ell=min(size, len(y)), task=scenario.task,
+                              seed=cfg.seed)
     batches: list[Batch] = []
     for batch in plan:
-        pdf = aug.project({cand.table for cand in batch}, scenario.key_cols, row_ids)
-        X, y, names, enc = assemble(pdf, scenario.target, scenario.task)
-        if cfg.coreset_method == "sketch" and len(y) > 0:
-            X, y = sketch_dataset(X, y, ell=min(size, len(y)), task=scenario.task,
-                                  seed=cfg.seed)
-        col_tables = [aug.source.get(src) for src in enc.sources_]
-        is_base = _base_mask(enc.sources_, col_tables, scenario)
-        batches.append(Batch(X, y, names, np.flatnonzero(is_base),
-                             np.flatnonzero(~is_base), col_tables))
+        tables = {cand.table for cand in batch}
+        cols = [j for j, t in enumerate(col_tables) if t is None or t in tables]
+        base = is_base[cols]
+        # take, unlike X[:, cols], returns a row-major copy, as assemble does
+        batches.append(Batch(X.take(cols, axis=1), y, [names[j] for j in cols],
+                             np.flatnonzero(base), np.flatnonzero(~base),
+                             [col_tables[j] for j in cols]))
     return batches, info
 
 
@@ -309,15 +324,14 @@ def _final_matrix(scenario: Scenario, kept_names: list[str], seed: int
     """The full base's base features plus ``kept_names``, encoded from the
     scenario's joined table: (X, y, names, table of each column)."""
     aug = _augment(scenario, [], seed)
-    X, y, names, enc = assemble(aug.project(aug.tables, scenario.key_cols),
-                                scenario.target, scenario.task)
-    col_tables = [aug.source.get(src) for src in enc.sources_]
+    X, y, names, col_tables, keep = _encode(scenario, aug, aug.tables)
     kept = set(kept_names)
-    keep = _base_mask(enc.sources_, col_tables, scenario)
-    keep |= np.array([nm in kept for nm in names], dtype=bool)
-    if kept and not kept & set(names):
-        raise ValueError("no kept feature is in the joined table: call "
+    missing = kept - set(names)
+    if missing:
+        raise ValueError(f"{len(missing)} kept features are not in the joined "
+                         f"table (e.g. {sorted(missing)[:3]}): call "
                          "prepare_batches with the same scenario and seed first")
+    keep |= np.array([nm in kept for nm in names], dtype=bool)
     cols = np.flatnonzero(keep)
     return (X[:, cols], y, [names[j] for j in cols],
             [col_tables[j] for j in cols])
@@ -331,8 +345,8 @@ def final_estimate(spark: SparkSession, scenario: Scenario,
     The matrix is a projection of the table ``prepare_batches`` joined for
     this scenario and seed, so this function runs no join; its imputed
     values come from full-base statistics. The metric is raw: accuracy for
-    classification, MAE for regression (jobs apply the paper's x10^k
-    display scaling).
+    classification, unscaled MAE for regression (the paper prints MAE
+    x10^k; nothing here rescales it).
     """
     X, y, _, col_tables = _final_matrix(scenario, kept_names, cfg.seed)
     n_tables = len(set(col_tables) - {None})

@@ -1,10 +1,10 @@
 """Table 1 — real-world datasets x feature selectors: metric + time.
 
 Paper rows: baseline / all-features (our estimator), AutoML comparators,
-TR rule standalone, then every selector. Columns per dataset: scaled MAE
+TR rule standalone, then every selector. Columns per dataset: MAE
 (regression) or accuracy (classification), plus selection+evaluation time
-in seconds. We report raw MAE; EXPERIMENTS.md maps it against the paper's
-x10^k scaled values.
+in seconds. The MAE is raw: the paper prints it x10^k, and nothing here
+rescales it.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ into batches:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["CandidateJoin", "make_plan", "order_candidates"]
 
@@ -29,11 +29,6 @@ class CandidateJoin:
     soft: bool = False  # soft key: join on closest value, not equality
     soft_mode: str = "nearest"  # "nearest" | "two_way" | "hard_resample"
     n_features: int = 0  # feature columns the join would add
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def prefix(self) -> str:
-        return self.table
 
 
 def order_candidates(candidates: list[CandidateJoin]) -> list[CandidateJoin]:

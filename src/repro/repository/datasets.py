@@ -62,15 +62,14 @@ def _signal_cols(rng: np.random.Generator, z: np.ndarray, n_extra: int,
 
 def _finish(spark: SparkSession, name: str, task: str, base_pdf: pd.DataFrame,
             target: str, key_cols: list[str], tables: dict[str, pd.DataFrame],
-            cands: list[CandidateJoin], signal_tables: set[str],
-            error_scale: float = 1.0) -> Scenario:
+            cands: list[CandidateJoin], signal_tables: set[str]) -> Scenario:
     repo = DataRepository()
     for tname, pdf in tables.items():
         repo.add(tname, spark.createDataFrame(pdf))
     return Scenario(name=name, task=task,
                     base=spark.createDataFrame(base_pdf), target=target,
                     repo=repo, candidates=cands, signal_tables=signal_tables,
-                    key_cols=key_cols, error_scale=error_scale)
+                    key_cols=key_cols)
 
 
 def _hard_cand(table: str, key: str, score: float, n_features: int) -> CandidateJoin:
@@ -153,8 +152,7 @@ def taxi(spark: SparkSession, seed: int = 0, n_days: int = 375,
         cands.append(_hard_cand(tname, key, float(rng.uniform(0.3, 0.92)), nf))
     return _finish(spark, "taxi", "reg", base, "trips", ["date", "zone_id"],
                    tables, cands, {"weather", "events", "zone_info",
-                                   "fuel_price", "traffic_idx"},
-                   error_scale=1e2)
+                                   "fuel_price", "traffic_idx"})
 
 
 # ------------------------------------------------------------------- pickup
@@ -208,8 +206,7 @@ def pickup(spark: SparkSession, seed: int = 1, n_hours: int = 2000) -> Scenario:
         cands.append(_hard_cand(tname, "pickup_hour", float(rng.uniform(0.3, 0.94)), nf))
     return _finish(spark, "pickup", "reg", base, "pickups", ["pickup_hour"],
                    tables, cands,
-                   {"lga_weather", "flights", "security_wait", "cab_supply"},
-                   error_scale=1e1)
+                   {"lga_weather", "flights", "security_wait", "cab_supply"})
 
 
 # ------------------------------------------------------------------ poverty
@@ -250,7 +247,7 @@ def poverty(spark: SparkSession, seed: int = 2, n_counties: int = 3000) -> Scena
     return _finish(spark, "poverty", "reg", base, "poverty_rate",
                    ["fips"], tables, cands,
                    {"unemployment", "education", "pop_change",
-                    "median_income", "rurality"}, error_scale=1e1)
+                    "median_income", "rurality"})
 
 
 # ------------------------------------------------------------------- school

@@ -1,3 +1,2 @@
-"""Feature selectors. Importing this package populates the ranker registry."""
-from repro.selectors import embedded, filters, relief, sparse_regression  # noqa: F401
+"""Feature selectors: rankers, wrappers and the Tuple-Ratio table filter."""
 from repro.selectors.base import RANKERS, applicable, rank_scores  # noqa: F401

@@ -1,12 +1,12 @@
-"""The ranker registry used by jobs and ARDA.
+"""The ranker table used by jobs and ARDA.
 
 Paper §7 distinguishes *ranking* methods (random forest, sparse
 regression, mutual info, logistic regression, lasso, relief, linear SVM,
 f-test) — which produce per-feature scores that are then cut with the
 exponential doubling + binary search of §6.3 — from *wrapper* methods
 (forward/backward selection, RFE) that drive the model loop themselves,
-and from RIFS. ``rank_scores`` runs a registered ranker; every selector
-returns the sorted indices of the columns it keeps.
+and from RIFS. ``rank_scores`` runs a ranker of the ``RANKERS`` table;
+every selector returns the sorted indices of the columns it keeps.
 """
 from __future__ import annotations
 
@@ -14,17 +14,25 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["RANKERS", "register_ranker", "rank_scores", "applicable"]
+from repro.selectors.embedded import (lasso_scores, logistic_scores,
+                                      random_forest_scores, svc_scores)
+from repro.selectors.filters import f_scores, mutual_info_scores
+from repro.selectors.relief import relief_scores
+from repro.selectors.sparse_regression import sparse_regression_scores
+
+__all__ = ["RANKERS", "rank_scores", "applicable"]
 
 # name -> callable(X, y, task, seed) -> scores (len d, higher = better)
-RANKERS: dict[str, Callable] = {}
-
-
-def register_ranker(name: str):
-    def deco(fn):
-        RANKERS[name] = fn
-        return fn
-    return deco
+RANKERS: dict[str, Callable] = {
+    "random_forest": random_forest_scores,
+    "lasso": lambda X, y, task, seed: lasso_scores(X, y, seed),
+    "logistic_reg": lambda X, y, task, seed: logistic_scores(X, y, seed),
+    "linear_svc": lambda X, y, task, seed: svc_scores(X, y, seed),
+    "f_test": lambda X, y, task, seed: f_scores(X, y, task),
+    "mutual_info": lambda X, y, task, seed: mutual_info_scores(X, y, task),
+    "relief": relief_scores,
+    "sparse_regression": lambda X, y, task, seed: sparse_regression_scores(X, y, task),
+}
 
 
 def rank_scores(name: str, X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> np.ndarray:

@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.ml.forest import RandomForest
 from repro.ml.linear import Lasso, LinearSVC, LogisticRegression
-from repro.selectors.base import register_ranker
 
 __all__ = ["random_forest_scores", "lasso_scores", "logistic_scores", "svc_scores"]
 
@@ -35,23 +34,3 @@ def logistic_scores(X: np.ndarray, y: np.ndarray, seed: int = 0) -> np.ndarray:
 def svc_scores(X: np.ndarray, y: np.ndarray, seed: int = 0) -> np.ndarray:
     m = LinearSVC().fit(X, y)
     return np.linalg.norm(m.coef_, axis=0)
-
-
-@register_ranker("random_forest")
-def _rf_ranker(X, y, task, seed=0):
-    return random_forest_scores(X, y, task, seed)
-
-
-@register_ranker("lasso")
-def _lasso_ranker(X, y, task, seed=0):
-    return lasso_scores(X, y, seed)
-
-
-@register_ranker("logistic_reg")
-def _logreg_ranker(X, y, task, seed=0):
-    return logistic_scores(X, y, seed)
-
-
-@register_ranker("linear_svc")
-def _svc_ranker(X, y, task, seed=0):
-    return svc_scores(X, y, seed)

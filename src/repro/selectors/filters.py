@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.selectors.base import register_ranker
-
 __all__ = ["f_scores", "mutual_info_scores", "pearson_scores"]
 
 _MI_BINS = 12
@@ -86,15 +84,3 @@ def mutual_info_scores(X: np.ndarray, y: np.ndarray, task: str,
         joint = np.bincount(xb * ny + yb, minlength=nx * ny).reshape(nx, ny)
         out[j] = _mi_from_joint(joint)
     return out
-
-
-# ----------------------------------------------------------------- registry
-@register_ranker("f_test")
-def _f_test_ranker(X, y, task, seed=0):
-    return f_scores(X, y, task)
-
-
-@register_ranker("mutual_info")
-def _mi_ranker(X, y, task, seed=0):
-    return mutual_info_scores(X, y, task)
-

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.selectors.base import register_ranker
-
 __all__ = ["relief_scores"]
 
 
@@ -76,8 +74,3 @@ def relief_scores(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0,
     with np.errstate(divide="ignore", invalid="ignore"):
         W = n_dca / max(n_dc, 1e-12) - (n_da - n_dca) / max(tot - n_dc, 1e-12)
     return np.nan_to_num(W)
-
-
-@register_ranker("relief")
-def _relief_ranker(X, y, task, seed=0):
-    return relief_scores(X, y, task, seed)

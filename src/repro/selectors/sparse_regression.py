@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.linear import Standardizer
-from repro.selectors.base import register_ranker
 
 __all__ = ["l21_solve", "l21_loss", "sparse_regression_scores"]
 
@@ -66,8 +65,3 @@ def sparse_regression_scores(X: np.ndarray, y: np.ndarray, task: str,
     Y = _one_hot_targets(y, task)
     W = l21_solve(Xs, Y, gamma=gamma)
     return np.linalg.norm(W, axis=1)
-
-
-@register_ranker("sparse_regression")
-def _sr_ranker(X, y, task, seed=0):
-    return sparse_regression_scores(X, y, task)

@@ -5,6 +5,8 @@ shrunken scenarios and assert the paper's qualitative claims: augmentation
 beats the baseline, RIFS prunes noise tables, every strategy runs, and the
 TR prefilter removes tables.
 """
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -58,6 +60,26 @@ class TestPrepare:
         for b in batches:
             for j in b.aug_idx:
                 assert b.names[j].split("__", 1)[0] in tables
+
+    def test_sketched_batches_slice_one_encoding(self, spark, school):
+        # each batch is its own columns of the union's encode-and-sketch
+        # (the one batch of the full plan), rows and values bit for bit
+        cfg = ArdaConfig(coreset_size=300, coreset_method="sketch", budget=40)
+        batches, info = prepare_batches(spark, school, cfg)
+        assert info["n_batches"] > 1
+        cfg.join_strategy = "full"
+        (union,), _ = prepare_batches(spark, school, cfg)
+        for b in batches:
+            cols = [union.names.index(nm) for nm in b.names]
+            np.testing.assert_array_equal(b.X, union.X[:, cols])
+            np.testing.assert_array_equal(b.y, union.y)
+            assert b.col_tables == [union.col_tables[j] for j in cols]
+
+    def test_empty_base_fails_loudly(self, spark):
+        sc = _stamp_scenario(spark)
+        sc = dataclasses.replace(sc, base=sc.base.limit(0))
+        with pytest.raises(ValueError, match="no rows"):
+            prepare_batches(spark, sc, ArdaConfig(coreset_size=80))
 
 
 class TestSelectors:
@@ -209,6 +231,20 @@ class TestJoinOnce:
             assert rows[-1] == n_base  # LEFT joins keep every base row
         assert sorted(joins) == sorted(c.table for c in sc.candidates)
 
+    def test_table_plan_encodes_once(self, spark, school, monkeypatch):
+        calls = []
+        assemble = arda.assemble
+
+        def counted_assemble(*a, **kw):
+            calls.append(1)
+            return assemble(*a, **kw)
+
+        monkeypatch.setattr(arda, "assemble", counted_assemble)
+        cfg = ArdaConfig(coreset_size=300, join_strategy="table")
+        batches, info = prepare_batches(spark, school, cfg)
+        assert info["n_batches"] == len(school.candidates) > 1
+        assert len(calls) == 1
+
 
 def _stamp_scenario(spark) -> Scenario:
     """A base datetime column named like a candidate table ("stamp")."""
@@ -244,5 +280,10 @@ class TestProvenance:
         # a kept name from no prepared batch fails loudly instead of being
         # dropped from the final matrix
         sc = _stamp_scenario(spark)
+        cfg = ArdaConfig(coreset_size=80, final_trees=10)
         with pytest.raises(ValueError, match="prepare_batches"):
-            final_estimate(spark, sc, ["stamp__v"], ArdaConfig(final_trees=10))
+            final_estimate(spark, sc, ["stamp__v"], cfg)
+        # so does a partial match: one kept name in no joined column
+        prepare_batches(spark, sc, cfg)
+        with pytest.raises(ValueError, match="prepare_batches"):
+            final_estimate(spark, sc, ["stamp__v", "stamp__w"], cfg)

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.ml.encode import FeatureEncoder, assemble
+from repro.ml.encode import assemble
 
 
 @pytest.fixture()
@@ -20,75 +20,63 @@ def mixed_pdf():
 
 class TestEncoder:
     def test_feature_names(self, mixed_pdf):
-        enc = FeatureEncoder(target="target").fit(mixed_pdf)
-        names = enc.feature_names_
+        _, _, names, _ = assemble(mixed_pdf, "target", "reg")
         assert "num" in names and "flag" in names
         assert "cat==a" in names and "cat==b" in names
         assert {"when__epoch", "when__month", "when__dow", "when__hour"} <= set(names)
 
     def test_sources_name_each_features_raw_column(self, mixed_pdf):
-        enc = FeatureEncoder(target="target").fit(mixed_pdf)
-        src = dict(zip(enc.feature_names_, enc.sources_))
-        assert len(enc.sources_) == len(enc.feature_names_)
+        _, _, names, sources = assemble(mixed_pdf, "target", "reg")
+        src = dict(zip(names, sources))
+        assert len(sources) == len(names)
         assert src["num"] == "num" and src["cat==a"] == src["cat==b"] == "cat"
         assert {src[f"when__{p}"] for p in ("epoch", "month", "dow", "hour")} == {"when"}
 
     def test_transform_shape_matches_names(self, mixed_pdf):
-        enc = FeatureEncoder(target="target").fit(mixed_pdf)
-        X = enc.transform(mixed_pdf)
-        assert X.shape == (4, len(enc.feature_names_))
+        X, _, names, _ = assemble(mixed_pdf, "target", "reg")
+        assert X.shape == (4, len(names))
 
     def test_numeric_nan_imputed_with_median(self, mixed_pdf):
-        enc = FeatureEncoder(target="target").fit(mixed_pdf)
-        X = enc.transform(mixed_pdf)
-        j = enc.feature_names_.index("num")
+        X, _, names, _ = assemble(mixed_pdf, "target", "reg")
+        j = names.index("num")
         assert X[2, j] == pytest.approx(2.0)  # median of 1,2,4
 
     def test_onehot_null_category_is_all_zero(self, mixed_pdf):
-        enc = FeatureEncoder(target="target").fit(mixed_pdf)
-        X = enc.transform(mixed_pdf)
-        ja = enc.feature_names_.index("cat==a")
-        jb = enc.feature_names_.index("cat==b")
+        X, _, names, _ = assemble(mixed_pdf, "target", "reg")
+        ja = names.index("cat==a")
+        jb = names.index("cat==b")
         assert X[3, ja] == 0 and X[3, jb] == 0
 
     def test_datetime_hour_component(self, mixed_pdf):
-        enc = FeatureEncoder(target="target").fit(mixed_pdf)
-        X = enc.transform(mixed_pdf)
-        j = enc.feature_names_.index("when__hour")
+        X, _, names, _ = assemble(mixed_pdf, "target", "reg")
+        j = names.index("when__hour")
         assert X[1, j] == 12.0
 
     def test_target_excluded(self, mixed_pdf):
-        enc = FeatureEncoder(target="target").fit(mixed_pdf)
-        assert "target" not in enc.feature_names_
-
-    def test_refit_transform_other_frame(self, mixed_pdf):
-        enc = FeatureEncoder(target="target").fit(mixed_pdf)
-        other = mixed_pdf.copy()
-        other["cat"] = ["b", "b", "zzz", "a"]  # unseen value -> all-zero row
-        X = enc.transform(other)
-        assert X.shape[1] == len(enc.feature_names_)
+        _, _, names, _ = assemble(mixed_pdf, "target", "reg")
+        assert "target" not in names
 
     def test_max_onehot_cap(self):
         pdf = pd.DataFrame({"c": [f"v{i}" for i in range(50)], "target": range(50)})
-        enc = FeatureEncoder(target="target").fit(pdf)
-        assert len(enc.feature_names_) == 20
+        _, _, names, _ = assemble(pdf, "target", "reg")
+        assert len(names) == 20
 
     def test_target_values_reg_and_cls(self, mixed_pdf):
-        enc = FeatureEncoder(target="target").fit(mixed_pdf)
-        yr = enc.target_values(mixed_pdf, "reg")
+        _, yr, _, _ = assemble(mixed_pdf, "target", "reg")
         assert yr.dtype == float
-        yc = enc.target_values(mixed_pdf.assign(target=["x", "y", "x", "y"]), "cls")
+        _, yc, _, _ = assemble(mixed_pdf.assign(target=["x", "y", "x", "y"]),
+                               "target", "cls")
         assert set(yc) == {"x", "y"}
 
 
 class TestAssemble:
     def test_pandas_input(self, mixed_pdf):
-        X, y, names, enc = assemble(mixed_pdf, "target", "reg")
+        X, y, names, _ = assemble(mixed_pdf, "target", "reg")
         assert X.shape[0] == 4 and list(y) == [0, 1, 2, 3]
 
     def test_spark_input(self, spark, mixed_pdf):
         sdf = spark.createDataFrame(mixed_pdf)
-        X, y, names, enc = assemble(sdf, "target", "reg")
+        X, y, names, _ = assemble(sdf, "target", "reg")
         assert X.shape[0] == 4
         assert len(names) == X.shape[1]
 

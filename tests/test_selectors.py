@@ -1,5 +1,5 @@
 """Tests for embedded rankers, sparse regression (ℓ2,1), Relief, wrappers
-and the ranker registry."""
+and the ranker table."""
 import numpy as np
 import pytest
 
