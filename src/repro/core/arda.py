@@ -37,7 +37,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.rifs import RIFSConfig, rifs_fractions, rifs_select
+from repro.core.rifs import rifs_fractions, rifs_select
 from repro.core.search import exponential_search
 from repro.coreset.sampling import build_coreset
 from repro.coreset.sketch import sketch_dataset
@@ -72,7 +72,7 @@ class ArdaConfig:
     coreset_method: str = "uniform"  # uniform | stratified | sketch
     join_strategy: str = "budget"  # table | budget | full
     budget: int | None = None  # feature budget; default = coreset_size
-    rifs: RIFSConfig = field(default_factory=RIFSConfig)
+    rifs_k: int = 10  # RIFS injection rounds k (Alg. 1)
     tr_tau: float | None = None  # TR-rule prefilter threshold (None = off)
     seed: int = 0
     eval_trees: int = 25
@@ -256,8 +256,8 @@ def _select_in_batch(batch: Batch, selector: str, task: str, cfg: ArdaConfig
         ev = Evaluator(batch.X, batch.y, task, seed=cfg.seed,
                        n_trees=cfg.eval_trees, max_depth=_EVAL_DEPTH)
     if selector == "rifs":
-        fractions = rifs_fractions(batch.X, batch.y, task, cfg.rifs, cfg.seed)
-        selected = rifs_select(ev, fractions, cfg.rifs, force_keep=batch.base_idx)
+        fractions = rifs_fractions(batch.X, batch.y, task, cfg.rifs_k, cfg.seed)
+        selected = rifs_select(ev, fractions, force_keep=batch.base_idx)
     elif selector == "forward_selection":
         selected = forward_selection(ev, max_features=cfg.wrapper_max_features,
                                      candidate_pool=cfg.wrapper_pool, seed=cfg.seed)

@@ -13,17 +13,19 @@ over the whole threshold grid (DESIGN.md §2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.ranking import ensemble_scores
 from repro.ml.evaluate import Evaluator
 
-__all__ = ["inject_random_features", "rifs_fractions", "rifs_select", "RIFSConfig"]
+__all__ = ["inject_random_features", "rifs_fractions", "rifs_select"]
+
+_ETA = 0.2  # eta: injected random features per real feature (Alg. 2)
+_NU = 0.5  # nu: weight of the forest ranking in the ensemble (§6.2)
+_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)  # tau grid T (Alg. 3)
 
 
-def inject_random_features(X: np.ndarray, eta: float = 0.2, seed: int = 0) -> np.ndarray:
+def inject_random_features(X: np.ndarray, eta: float = _ETA, seed: int = 0) -> np.ndarray:
     """Algorithm 2: t = ceil(eta * d) synthetic feature columns (n x t).
 
     Columns are drawn from N(mu, Sigma) with the empirical column moments.
@@ -41,16 +43,8 @@ def inject_random_features(X: np.ndarray, eta: float = 0.2, seed: int = 0) -> np
     return mu[:, None] + (Ac @ G) / np.sqrt(d)
 
 
-@dataclass
-class RIFSConfig:
-    eta: float = 0.2
-    k: int = 10
-    nu: float = 0.5
-    thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-
-def rifs_fractions(X: np.ndarray, y: np.ndarray, task: str,
-                   cfg: RIFSConfig = RIFSConfig(), seed: int = 0) -> np.ndarray:
+def rifs_fractions(X: np.ndarray, y: np.ndarray, task: str, k: int,
+                   seed: int) -> np.ndarray:
     """Algorithm 1 core: r*[j] = fraction of the k injection rounds in
     which feature j ranked ahead of ALL injected random features. Round
     ``it`` draws its noise and its ranking forest from ``seed * 1000 + it``.
@@ -67,17 +61,16 @@ def rifs_fractions(X: np.ndarray, y: np.ndarray, task: str,
     X = (X - X.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
     n, d = X.shape
     wins = np.zeros(d)
-    for it in range(cfg.k):
-        N = inject_random_features(X, cfg.eta, seed=seed * 1000 + it)
+    for it in range(k):
+        N = inject_random_features(X, _ETA, seed=seed * 1000 + it)
         Xp = np.hstack([X, N])
-        agg = ensemble_scores(Xp, y, task, nu=cfg.nu, seed=seed * 1000 + it)
+        agg = ensemble_scores(Xp, y, task, nu=_NU, seed=seed * 1000 + it)
         noise_max = agg[d:].max()
         wins += agg[:d] > noise_max
-    return wins / cfg.k
+    return wins / k
 
 
 def rifs_select(ev: Evaluator, fractions: np.ndarray,
-                cfg: RIFSConfig = RIFSConfig(),
                 force_keep: np.ndarray | None = None) -> np.ndarray:
     """Algorithm 3: sweep increasing tau over the Algorithm-1
     ``fractions``, training the estimator per threshold, and return the
@@ -97,7 +90,7 @@ def rifs_select(ev: Evaluator, fractions: np.ndarray,
     best_subset = fk
     best_score = -np.inf
     prev_sel: np.ndarray | None = None
-    for tau in sorted(cfg.thresholds):
+    for tau in _THRESHOLDS:
         sel = np.array(sorted(fk_set | set(np.nonzero(fractions >= tau)[0].tolist())),
                        dtype=int)
         if prev_sel is not None and np.array_equal(sel, prev_sel):

@@ -7,7 +7,9 @@ it is applied after the join, on the binarized numeric matrix, and for
 classification it is applied independently within each label so sketched
 rows keep a meaningful label (the paper's per-label sketching).
 
-``sketch_rows`` computes Pi A in nnz time via index adds.
+``sketch_rows`` computes Pi A in nnz time via index adds. The paper's
+Definition 2 repeats the sketch log(n) times; only the single count-sketch
+is implemented.
 """
 from __future__ import annotations
 
@@ -16,23 +18,17 @@ import numpy as np
 __all__ = ["sketch_rows", "sketch_dataset"]
 
 
-def sketch_rows(X: np.ndarray, ell: int, seed: int = 0,
-                reps: int = 1) -> np.ndarray:
-    """Pi @ X for an OSNAP Pi with ``reps`` nonzeros per column.
-
-    ``reps=1`` is the classic count-sketch; the paper's Definition 2
-    repeats log(n) times — exposed as ``reps`` and averaged so the output
-    scale stays comparable.
-    """
+def sketch_rows(X: np.ndarray, ell: int, seed: int = 0) -> np.ndarray:
+    """Pi @ X for a count-sketch Pi: each row of X is added, with a random
+    sign, to one random row of the ell-row output."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     rng = np.random.default_rng(seed)
     out = np.zeros((ell, X.shape[1]))
-    for _ in range(max(1, reps)):
-        rows = rng.integers(0, ell, n)
-        signs = rng.choice([-1.0, 1.0], n)
-        np.add.at(out, rows, signs[:, None] * X)
-    return out / np.sqrt(max(1, reps))
+    rows = rng.integers(0, ell, n)
+    signs = rng.choice([-1.0, 1.0], n)
+    np.add.at(out, rows, signs[:, None] * X)
+    return out
 
 
 def sketch_dataset(X: np.ndarray, y: np.ndarray, ell: int, task: str,

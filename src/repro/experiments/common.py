@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pandas as pd
 
 from repro.core.arda import (ArdaConfig, Batch, _union_batch, final_estimate,
                              prepare_batches, run_selector)
-from repro.core.rifs import RIFSConfig
 from repro.ml.automl import automl_best_score
 from repro.repository import datasets
 from repro.repository.repo import Scenario
@@ -44,11 +43,15 @@ def selector_list(task: str) -> list[str]:
     return REG_SELECTORS if task == "reg" else CLS_SELECTORS
 
 
+# Foreign tables up to this size are broadcast inside ``broadcast_joins``.
+_BROADCAST_BYTES = 8 << 20
+
+
 @contextmanager
-def broadcast_joins(spark, threshold_bytes: int = 8 << 20):
+def broadcast_joins(spark):
     key = "spark.sql.autoBroadcastJoinThreshold"
     old = spark.conf.get(key)
-    spark.conf.set(key, str(threshold_bytes))
+    spark.conf.set(key, str(_BROADCAST_BYTES))
     try:
         yield
     finally:
@@ -61,8 +64,11 @@ def scenario_sizes(name: str, quick: bool, profile: str | None = None) -> dict:
     Profiles: ``bench`` (Table 1 flagship scale), ``medium`` (sensitivity
     tables 2–5: the entries are *relative* deltas, so a smaller base keeps
     the full sweep inside the container's wall-clock budget), ``quick``
-    (smoke runs). ``quick=True`` overrides any profile.
+    (smoke runs). ``quick=True`` overrides any profile; any other profile
+    name raises ``ValueError``.
     """
+    if profile not in (None, "bench", "medium"):
+        raise ValueError(f"unknown profile {profile!r}; have 'bench', 'medium'")
     bench = {"taxi": {"n_days": 375, "n_zones": 4},
              "pickup": {"n_hours": 2000},
              "poverty": {"n_counties": 3000},
@@ -81,7 +87,7 @@ def scenario_sizes(name: str, quick: bool, profile: str | None = None) -> dict:
                 "school_s": {"n_schools": 500},
                 "school_l": {"n_schools": 400},
                 "kraken": {}, "digits": {}}
-    table = quick_kw if quick else {"medium": medium}.get(profile or "bench", bench)
+    table = quick_kw if quick else medium if profile == "medium" else bench
     return table[name]
 
 
@@ -91,18 +97,18 @@ def load(spark, name: str, quick: bool, profile: str | None = None) -> Scenario:
 
 
 def make_cfg(quick: bool, **overrides) -> ArdaConfig:
+    """The jobs' config; ``overrides`` replace fields by name (a name that
+    is not an ``ArdaConfig`` field raises ``TypeError``)."""
     cfg = ArdaConfig(
         coreset_size=384 if quick else 768,
         budget=256 if quick else 512,
-        rifs=RIFSConfig(k=4 if quick else 6),
+        rifs_k=4 if quick else 6,
         eval_trees=15 if quick else 25,
         final_trees=30 if quick else 60,
         wrapper_max_features=8 if quick else 12,
         wrapper_pool=24 if quick else 32,
     )
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 @dataclass

@@ -20,9 +20,10 @@ from repro.ml.forest import RandomForest
 __all__ = ["train_test_split", "holdout_score", "Evaluator", "make_estimator",
            "accuracy", "mae"]
 
+_TEST_FRAC = 0.25  # holdout share of every split
 
-def train_test_split(n: int, test_frac: float = 0.25, seed: int = 0,
-                     y=None) -> tuple[np.ndarray, np.ndarray]:
+
+def train_test_split(n: int, seed: int = 0, y=None) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic index split; stratified per label when ``y`` is given."""
     rng = np.random.default_rng(seed)
     if y is not None:
@@ -31,12 +32,12 @@ def train_test_split(n: int, test_frac: float = 0.25, seed: int = 0,
         for c in np.unique(y):
             idx = np.nonzero(y == c)[0]
             idx = rng.permutation(idx)
-            k = max(1, int(round(test_frac * len(idx))))
+            k = max(1, int(round(_TEST_FRAC * len(idx))))
             test_idx.append(idx[:k])
         test = np.sort(np.concatenate(test_idx))
     else:
         perm = rng.permutation(n)
-        test = np.sort(perm[: max(1, int(round(test_frac * n)))])
+        test = np.sort(perm[: max(1, int(round(_TEST_FRAC * n)))])
     mask = np.zeros(n, dtype=bool)
     mask[test] = True
     return np.nonzero(~mask)[0], test
@@ -70,14 +71,13 @@ class Evaluator:
     y: np.ndarray
     task: str
     seed: int = 0
-    test_frac: float = 0.25
     n_trees: int = 30
     max_depth: int = 8
     n_evals: int = 0
 
     def __post_init__(self) -> None:
         strat = self.y if self.task == "cls" else None
-        self.tr, self.te = train_test_split(len(self.y), self.test_frac, self.seed, strat)
+        self.tr, self.te = train_test_split(len(self.y), self.seed, strat)
 
     def score(self, cols) -> float:
         cols = np.asarray(cols, dtype=int)
@@ -92,18 +92,14 @@ class Evaluator:
         self.n_evals += 1
         model = RandomForest(task=self.task, n_trees=self.n_trees,
                              max_depth=self.max_depth, seed=self.seed)
-        model.fit(self.X[np.ix_(self.tr, cols)], self.y[self.tr])
-        pred = model.predict(self.X[np.ix_(self.te, cols)])
-        if self.task == "cls":
-            return accuracy(self.y[self.te], pred)
-        return -mae(self.y[self.te], pred)
+        return holdout_score(self.X[:, cols], self.y, self.task, model, self.seed)
 
 
 def holdout_score(X: np.ndarray, y: np.ndarray, task: str, model,
-                  seed: int = 0, test_frac: float = 0.25) -> float:
+                  seed: int = 0) -> float:
     """Fit ``model`` on a split and return accuracy / -MAE on the holdout."""
     strat = y if task == "cls" else None
-    tr, te = train_test_split(len(y), test_frac, seed, strat)
+    tr, te = train_test_split(len(y), seed, strat)
     model.fit(X[tr], y[tr])
     pred = model.predict(X[te])
     return accuracy(y[te], pred) if task == "cls" else -mae(y[te], pred)

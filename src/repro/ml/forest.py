@@ -4,7 +4,7 @@ Neither sklearn nor scipy is installed in this container, so ARDA's main
 ranking / estimation model — a Random Forest — is implemented here from
 scratch in numpy (DESIGN.md §2). Design choices:
 
-* Features are quantile-binned once per fit into ``n_bins`` uint8 bins;
+* Features are quantile-binned once per fit into ``_N_BINS`` uint8 bins;
   split search then works on histograms. Trees grow level by level: every
   node of one depth draws its own candidate features, and one
   ``np.bincount`` per tree depth over (node, feature slot, bin[, class])
@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["RandomForest", "Tree"]
+
+_N_BINS = 32  # quantile bins per feature; codes fit in uint8
 
 
 @dataclass
@@ -81,7 +83,7 @@ _MAX_HIST_CELLS = 1 << 20
 
 
 def _best_splits(sub: np.ndarray, node: np.ndarray, y: np.ndarray, m: np.ndarray,
-                 n_bins: int, n_classes: int, msl: int):
+                 n_classes: int, msl: int):
     """Best split of every frontier node from one histogram ``bincount``.
 
     ``sub`` (rows x k) holds each row's bins for the k candidate features
@@ -92,20 +94,20 @@ def _best_splits(sub: np.ndarray, node: np.ndarray, y: np.ndarray, m: np.ndarray
     parent score, and the winning candidate slot and threshold bin.
     """
     k = sub.shape[1]
-    step = max(1, _MAX_HIST_CELLS // (k * n_bins * max(n_classes, 1)))
+    step = max(1, _MAX_HIST_CELLS // (k * _N_BINS * max(n_classes, 1)))
     out = []
     for a in range(0, len(m), step):
         b = min(len(m), a + step)
         sel = slice(None) if b - a == len(m) else (node >= a) & (node < b)
         mc = m[a:b, None, None]
-        codes = ((node[sel, None] - a) * k + np.arange(k)) * n_bins + sub[sel]
-        size = (b - a) * k * n_bins
+        codes = ((node[sel, None] - a) * k + np.arange(k)) * _N_BINS + sub[sel]
+        size = (b - a) * k * _N_BINS
         if n_classes:
             # Class-major cells. Counts stay integers, so every sum below is
             # exact in any order, and sum_c (tot_c - cum_c)^2 may be expanded.
             codes += y[sel][:, None] * size
             hist = np.bincount(codes.ravel(), minlength=size * n_classes)
-            cum = hist.reshape(n_classes, b - a, k, n_bins).cumsum(axis=3)
+            cum = hist.reshape(n_classes, b - a, k, _N_BINS).cumsum(axis=3)
             tot = cum[..., -1]
             nl = cum.sum(axis=0)
             nr = mc - nl
@@ -119,8 +121,8 @@ def _best_splits(sub: np.ndarray, node: np.ndarray, y: np.ndarray, m: np.ndarray
         else:
             flat = codes.ravel()
             w = np.broadcast_to(y[sel][:, None], codes.shape).ravel()
-            nl = np.bincount(flat, minlength=size).reshape(b - a, k, n_bins).cumsum(axis=2)
-            sl = np.bincount(flat, weights=w, minlength=size).reshape(b - a, k, n_bins)
+            nl = np.bincount(flat, minlength=size).reshape(b - a, k, _N_BINS).cumsum(axis=2)
+            sl = np.bincount(flat, weights=w, minlength=size).reshape(b - a, k, _N_BINS)
             sl = sl.cumsum(axis=2)
             nr = mc - nl
             sr = sl[:, :, -1:] - sl
@@ -131,7 +133,7 @@ def _best_splits(sub: np.ndarray, node: np.ndarray, y: np.ndarray, m: np.ndarray
         score[:, :, -1] = -np.inf  # last bin = no split
         j = score.reshape(b - a, -1).argmax(axis=1)
         out.append((score.reshape(b - a, -1)[np.arange(b - a), j], parent,
-                    j // n_bins, j % n_bins))
+                    j // _N_BINS, j % _N_BINS))
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
@@ -147,8 +149,7 @@ class RandomForest:
     n_trees: int = 40
     max_depth: int = 8
     min_samples_leaf: int = 4
-    max_features: str | int | float = "sqrt"
-    n_bins: int = 32
+    max_features: str = "sqrt"  # "sqrt" | "all" candidate features per node
     seed: int = 0
     trees: list[Tree] = field(default_factory=list, repr=False)
     edges_: np.ndarray | None = field(default=None, repr=False)
@@ -156,15 +157,7 @@ class RandomForest:
 
     # ------------------------------------------------------------------ fit
     def _k_features(self, d: int) -> int:
-        mf = self.max_features
-        if mf == "sqrt":
-            k = int(np.sqrt(d)) + 1
-        elif mf == "all":
-            k = d
-        elif isinstance(mf, float):
-            k = int(mf * d) + 1
-        else:
-            k = int(mf)
+        k = d if self.max_features == "all" else int(np.sqrt(d)) + 1
         return max(1, min(d, k))
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
@@ -172,7 +165,7 @@ class RandomForest:
         if X.ndim != 2 or X.shape[0] != len(y):
             raise ValueError(f"bad shapes X={X.shape} y={np.shape(y)}")
         rng = np.random.default_rng(self.seed)
-        self.edges_ = _quantile_edges(X, self.n_bins, rng)
+        self.edges_ = _quantile_edges(X, _N_BINS, rng)
         B = _bin_matrix(X, self.edges_)
         if self.task == "cls":
             self.classes_, y_enc = np.unique(y, return_inverse=True)
@@ -232,7 +225,7 @@ class RandomForest:
             feats = np.argsort(rng.random((sp.size, d)), axis=1)[:, :k]
             sub = B.ravel()[rows[:, None] * d + feats[node]]  # (rows, k) bins
             best, parent, slot, thr = _best_splits(
-                sub, node, yr, m[sp], self.n_bins, n_classes, msl)
+                sub, node, yr, m[sp], n_classes, msl)
             ok = np.isfinite(best) & (best - parent > 1e-12)
             f_best = feats[np.arange(sp.size), slot]
             child = 2 * np.cumsum(ok) - 2  # next-frontier position of left child

@@ -14,6 +14,12 @@ import numpy as np
 
 __all__ = ["Standardizer", "Ridge", "Lasso", "LogisticRegression", "LinearSVC"]
 
+_LASSO_TOL = 1e-6  # FISTA stops when no coefficient moves by more
+# Full-batch gradient descent: steps and step size per classifier.
+_GD_ITERS = 300
+_LOGREG_LR = 0.5
+_SVC_LR = 0.2
+
 
 @dataclass
 class Standardizer:
@@ -68,7 +74,6 @@ class Lasso:
 
     alpha: float = 0.01
     max_iter: int = 400
-    tol: float = 1e-6
     coef_: np.ndarray | None = None
     intercept_: float = 0.0
     _sc: Standardizer = field(default_factory=Standardizer, repr=False)
@@ -90,7 +95,7 @@ class Lasso:
             w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - thr, 0.0)
             t_new = (1 + np.sqrt(1 + 4 * t * t)) / 2
             z = w_new + ((t - 1) / t_new) * (w_new - w)
-            if np.max(np.abs(w_new - w)) < self.tol:
+            if np.max(np.abs(w_new - w)) < _LASSO_TOL:
                 w = w_new
                 break
             w, t = w_new, t_new
@@ -115,8 +120,6 @@ class LogisticRegression:
     """
 
     C: float = 1.0
-    max_iter: int = 300
-    lr: float = 0.5
     classes_: np.ndarray | None = None
     coef_: np.ndarray | None = None
     intercept_: np.ndarray | None = None
@@ -131,14 +134,14 @@ class LogisticRegression:
         W = np.zeros((c, d))
         b = np.zeros(c)
         lam = 1.0 / (self.C * n)
-        for _ in range(self.max_iter):
+        for _ in range(_GD_ITERS):
             Z = Xs @ W.T + b
             Z -= Z.max(axis=1, keepdims=True)
             P = np.exp(Z)
             P /= P.sum(axis=1, keepdims=True)
             G = (P - Y) / n
-            W -= self.lr * (G.T @ Xs + lam * W)
-            b -= self.lr * G.sum(axis=0)
+            W -= _LOGREG_LR * (G.T @ Xs + lam * W)
+            b -= _LOGREG_LR * G.sum(axis=0)
         self.coef_, self.intercept_ = W, b
         return self
 
@@ -154,8 +157,6 @@ class LinearSVC:
     """One-vs-rest linear SVM with squared hinge loss, gradient descent."""
 
     C: float = 1.0
-    max_iter: int = 300
-    lr: float = 0.2
     classes_: np.ndarray | None = None
     coef_: np.ndarray | None = None
     intercept_: np.ndarray | None = None
@@ -170,12 +171,12 @@ class LinearSVC:
         W = np.zeros((c, d))
         b = np.zeros(c)
         lam = 1.0 / (self.C * n)
-        for _ in range(self.max_iter):
+        for _ in range(_GD_ITERS):
             M = Xs @ W.T + b  # (n, c) margins
             viol = np.maximum(0.0, 1.0 - S * M)  # squared-hinge active part
             G = (-2.0 * S * viol) / n  # d loss / d margin
-            W -= self.lr * (G.T @ Xs + lam * W)
-            b -= self.lr * G.sum(axis=0)
+            W -= _SVC_LR * (G.T @ Xs + lam * W)
+            b -= _SVC_LR * G.sum(axis=0)
         self.coef_, self.intercept_ = W, b
         return self
 

@@ -14,9 +14,22 @@ We rebuild each as a generator that plants known signal:
   zero signal — the "majority of joins are semantically meaningless"
   regime ARDA is designed for.
 
-Candidate joins are emitted with their by-construction intersection
-scores (the discovery simulator in ``repository/discovery.py`` computes
-the same scores from data; tests verify agreement on a small scenario).
+Each candidate join carries a declared ``score``, and the scores set the
+join-plan order (``joins.plan.order_candidates``). They are not the
+intersection scores the discovery simulator (``repository/discovery.py``)
+would compute from the data:
+
+* every signal table covers the whole key domain (score 1.0) but is
+  declared 0.93–0.99;
+* the Taxi and Pickup noise tables also cover the whole key domain but are
+  declared uniform(0.3, 0.92) and uniform(0.3, 0.94), so they rank below
+  every signal table;
+* only the partial-coverage noise tables of Poverty and School declare
+  their coverage, the share of base keys they hold, which is what
+  discovery measures.
+
+A test checks that discovery finds the declared table *set* on School (S);
+the scores are not compared.
 
 Micro-benchmark datasets (Kraken, Digits, §7.2) have no repository: noise
 features 10x the original count are appended directly to the base table.
@@ -310,12 +323,11 @@ def school_l(spark: SparkSession, seed: int = 3, n_schools: int = 2000) -> Scena
 
 
 # ---------------------------------------------------------------- micro sets
-def _append_noise(rng: np.random.Generator, pdf: pd.DataFrame,
-                  feat_cols: list[str], factor: int = 10) -> pd.DataFrame:
-    """Append ``factor`` x len(feat_cols) random features drawn from
+def _append_noise(rng: np.random.Generator, pdf: pd.DataFrame) -> pd.DataFrame:
+    """Append 10x as many random features as ``pdf`` has, drawn from
     uniform / Gaussian / Bernoulli with random parameters (paper §7.2)."""
     n = len(pdf)
-    t = factor * len(feat_cols)
+    t = 10 * pdf.shape[1]
     cols = {}
     for i in range(t):
         kind = rng.integers(0, 3)
@@ -329,7 +341,7 @@ def _append_noise(rng: np.random.Generator, pdf: pd.DataFrame,
     return pd.concat([pdf, pd.DataFrame(cols, index=pdf.index)], axis=1)
 
 
-def kraken(spark: SparkSession, seed: int = 4, with_noise: bool = True) -> Scenario:
+def kraken(spark: SparkSession, seed: int = 4) -> Scenario:
     """Kraken: binary machine-failure classification, 1000 samples with the
     paper's 568/432 label split, 20 sensor features (a minority informative)
     + 10x appended noise."""
@@ -345,8 +357,7 @@ def kraken(spark: SparkSession, seed: int = 4, with_noise: bool = True) -> Scena
     y = (score > thr).astype(int)
     pdf = pd.DataFrame(X, columns=[f"sensor_{i:02d}" for i in range(d)])
     feat_cols = list(pdf.columns)
-    if with_noise:
-        pdf = _append_noise(rng, pdf, feat_cols, 10)
+    pdf = _append_noise(rng, pdf)
     pdf["failure"] = y
     # the "user's base table" is four uninformative housekeeping sensors —
     # baseline accuracy sits near the majority-class rate, as in the paper
@@ -357,7 +368,7 @@ def kraken(spark: SparkSession, seed: int = 4, with_noise: bool = True) -> Scena
                     original_features=feat_cols)
 
 
-def digits(spark: SparkSession, seed: int = 5, with_noise: bool = True) -> Scenario:
+def digits(spark: SparkSession, seed: int = 5) -> Scenario:
     """Digits stand-in: 10 classes x ~180 samples x 64 pixel features from
     blurred class prototypes (sklearn is absent; DESIGN.md §2) + 10x noise."""
     rng = np.random.default_rng(seed)
@@ -380,8 +391,7 @@ def digits(spark: SparkSession, seed: int = 5, with_noise: bool = True) -> Scena
     perm = rng.permutation(len(y))
     pdf = pd.DataFrame(X[perm], columns=[f"px_{i:02d}" for i in range(d)])
     feat_cols = list(pdf.columns)
-    if with_noise:
-        pdf = _append_noise(rng, pdf, feat_cols, 10)
+    pdf = _append_noise(rng, pdf)
     pdf["digit"] = y[perm]
     # base table = the 6 pixels whose prototypes vary least across classes
     weak = np.argsort(protos.std(axis=0))[:6]

@@ -26,6 +26,7 @@ __all__ = ["intersection_score", "discover_joins"]
 
 _INT_FAMILY = (T.IntegerType, T.LongType, T.ShortType, T.ByteType)
 _TIME_FAMILY = (T.TimestampType, T.DateType)
+_TIME_SOFT_MODE = "two_way"  # soft-join mode of every discovered time key
 
 
 def _family(dtype) -> str | None:
@@ -51,8 +52,7 @@ def intersection_score(base: DataFrame, base_col: str,
 
 def discover_joins(base: DataFrame, repo: DataRepository,
                    key_cols: list[str] | None = None,
-                   min_score: float = 0.05,
-                   time_soft_mode: str = "two_way") -> list[CandidateJoin]:
+                   min_score: float = 0.05) -> list[CandidateJoin]:
     """Emit one best-scoring CandidateJoin per (table, base column) pair.
 
     ``key_cols`` restricts which base columns are probed as foreign keys
@@ -82,7 +82,7 @@ def discover_joins(base: DataFrame, repo: DataRepository,
                         bcol,
                         ft.select(F.date_trunc("day", F.col(fcol).cast("timestamp")).alias(fcol)),
                         fcol)
-                    soft, mode = True, time_soft_mode
+                    soft, mode = True, _TIME_SOFT_MODE
                 else:
                     s = intersection_score(base, bcol, ft, fcol)
                     soft, mode = False, "nearest"

@@ -25,9 +25,9 @@ __all__ = ["RANKERS", "rank_scores", "applicable"]
 # name -> callable(X, y, task, seed) -> scores (len d, higher = better)
 RANKERS: dict[str, Callable] = {
     "random_forest": random_forest_scores,
-    "lasso": lambda X, y, task, seed: lasso_scores(X, y, seed),
-    "logistic_reg": lambda X, y, task, seed: logistic_scores(X, y, seed),
-    "linear_svc": lambda X, y, task, seed: svc_scores(X, y, seed),
+    "lasso": lambda X, y, task, seed: lasso_scores(X, y),
+    "logistic_reg": lambda X, y, task, seed: logistic_scores(X, y),
+    "linear_svc": lambda X, y, task, seed: svc_scores(X, y),
     "f_test": lambda X, y, task, seed: f_scores(X, y, task),
     "mutual_info": lambda X, y, task, seed: mutual_info_scores(X, y, task),
     "relief": relief_scores,

@@ -69,17 +69,16 @@ def _mi_from_joint(joint: np.ndarray) -> float:
     return float(np.nansum(t))
 
 
-def mutual_info_scores(X: np.ndarray, y: np.ndarray, task: str,
-                       bins: int = _MI_BINS) -> np.ndarray:
+def mutual_info_scores(X: np.ndarray, y: np.ndarray, task: str) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if task == "reg":
-        yb = _quantile_bin(np.asarray(y, dtype=float), bins)
+        yb = _quantile_bin(np.asarray(y, dtype=float), _MI_BINS)
     else:
         _, yb = np.unique(y, return_inverse=True)
     ny = int(yb.max()) + 1
     out = np.zeros(X.shape[1])
     for j in range(X.shape[1]):
-        xb = _quantile_bin(X[:, j], bins)
+        xb = _quantile_bin(X[:, j], _MI_BINS)
         nx = int(xb.max()) + 1
         joint = np.bincount(xb * ny + yb, minlength=nx * ny).reshape(nx, ny)
         out[j] = _mi_from_joint(joint)

@@ -12,6 +12,8 @@ import numpy as np
 
 __all__ = ["relief_scores"]
 
+_N_NEIGHBORS = 5  # nearest hits / misses per class (regression: twice this)
+
 
 def _normalize(X: np.ndarray) -> np.ndarray:
     lo = X.min(axis=0)
@@ -21,7 +23,7 @@ def _normalize(X: np.ndarray) -> np.ndarray:
 
 
 def relief_scores(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0,
-                  n_neighbors: int = 5, sample_size: int = 256) -> np.ndarray:
+                  sample_size: int = 256) -> np.ndarray:
     X = _normalize(np.asarray(X, dtype=float))
     n, d = X.shape
     rng = np.random.default_rng(seed)
@@ -47,7 +49,7 @@ def relief_scores(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0,
                 idx = np.nonzero(mask)[0]
                 if idx.size == 0:
                     continue
-                k = min(n_neighbors, idx.size)
+                k = min(_N_NEIGHBORS, idx.size)
                 nn = idx[np.argpartition(Di[idx], k - 1)[:k]]
                 diff = np.abs(X[nn] - X[i]).mean(axis=0)
                 if c == ci:
@@ -59,7 +61,7 @@ def relief_scores(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0,
     # target difference — features that vary with y among close points win.
     yv = np.asarray(y, dtype=float)
     y_rng = max(yv.max() - yv.min(), 1e-12)
-    k = min(n_neighbors * 2, n - 1)
+    k = min(_N_NEIGHBORS * 2, n - 1)
     n_dc = 0.0
     n_da = np.zeros(d)
     n_dca = np.zeros(d)

@@ -20,6 +20,8 @@ from repro.ml.linear import Standardizer
 __all__ = ["l21_solve", "l21_loss", "sparse_regression_scores"]
 
 _EPS = 1e-8
+_MAX_ITER = 30  # IRLS steps
+_TOL = 1e-5  # stop when the loss falls by less than this share
 
 
 def _one_hot_targets(y: np.ndarray, task: str) -> np.ndarray:
@@ -38,13 +40,12 @@ def l21_loss(X: np.ndarray, Y: np.ndarray, W: np.ndarray, gamma: float) -> float
                  + gamma * np.linalg.norm(W, axis=1).sum())
 
 
-def l21_solve(X: np.ndarray, Y: np.ndarray, gamma: float = 0.1,
-              max_iter: int = 30, tol: float = 1e-5) -> np.ndarray:
+def l21_solve(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     """IRLS minimization of ||XW - Y||_{2,1} + gamma ||W||_{2,1}."""
     n, d = X.shape
     W = np.zeros((d, Y.shape[1]))
     prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         R = X @ W - Y
         dr = 1.0 / (2.0 * np.maximum(np.linalg.norm(R, axis=1), _EPS))
         dw = 1.0 / (2.0 * np.maximum(np.linalg.norm(W, axis=1), _EPS))
@@ -53,7 +54,7 @@ def l21_solve(X: np.ndarray, Y: np.ndarray, gamma: float = 0.1,
         A[np.diag_indices_from(A)] += 1e-10
         W = np.linalg.solve(A, Xw.T @ Y)
         cur = l21_loss(X, Y, W, gamma)
-        if prev - cur < tol * max(1.0, abs(prev)):
+        if prev - cur < _TOL * max(1.0, abs(prev)):
             break
         prev = cur
     return W

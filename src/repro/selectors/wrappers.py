@@ -16,11 +16,16 @@ from repro.selectors.embedded import random_forest_scores
 
 __all__ = ["forward_selection", "backward_elimination", "rfe"]
 
+_PATIENCE = 2  # forward selection: non-improving adds before it stops
+_MAX_START = 48  # backward elimination: RF-ranked features it starts from
+_DROP_FRAC = 0.5  # RFE: share of the surviving features dropped per round
+_MIN_FEATURES = 2  # backward elimination and RFE never go below this
+
 
 def forward_selection(ev: Evaluator, max_features: int = 24,
-                      patience: int = 2, candidate_pool: int | None = 64,
+                      candidate_pool: int | None = 64,
                       seed: int = 0) -> np.ndarray:
-    """Greedy add; stop after ``patience`` consecutive non-improving adds.
+    """Greedy add; stop after ``_PATIENCE`` consecutive non-improving adds.
 
     ``candidate_pool`` pre-truncates the search to the top-N RF-ranked
     features when d is large — the literal O(d) scan per add is what makes
@@ -38,7 +43,7 @@ def forward_selection(ev: Evaluator, max_features: int = 24,
     best_total = ev.score([])
     best_set = []
     bad = 0
-    while remaining and len(chosen) < max_features and bad < patience:
+    while remaining and len(chosen) < max_features and bad < _PATIENCE:
         scores = [(ev.score(chosen + [j]), j) for j in remaining]
         s, j = max(scores)
         chosen.append(j)
@@ -50,23 +55,22 @@ def forward_selection(ev: Evaluator, max_features: int = 24,
     return np.array(sorted(best_set), dtype=int)
 
 
-def backward_elimination(ev: Evaluator, min_features: int = 2,
-                         max_start: int = 48, max_rounds: int = 12,
+def backward_elimination(ev: Evaluator, max_rounds: int = 12,
                          seed: int = 0) -> np.ndarray:
-    """Greedy remove, starting from the top-``max_start`` RF-ranked features
+    """Greedy remove, starting from the top-``_MAX_START`` RF-ranked features
     (a full backward pass over hundreds of features is quadratic in model
     fits; the paper's own runtimes show this is the most expensive method).
     ``max_rounds`` bounds the elimination rounds at container scale."""
     d = ev.X.shape[1]
-    if d > max_start:
+    if d > _MAX_START:
         imp = random_forest_scores(ev.X, ev.y, ev.task, seed)
-        current = list(np.argsort(imp)[::-1][:max_start])
+        current = list(np.argsort(imp)[::-1][:_MAX_START])
     else:
         current = list(range(d))
     best_total = ev.score(current)
     best_set = list(current)
     improved, rounds = True, 0
-    while improved and len(current) > min_features and rounds < max_rounds:
+    while improved and len(current) > _MIN_FEATURES and rounds < max_rounds:
         improved = False
         rounds += 1
         scores = [(ev.score([c for c in current if c != j]), j) for j in current]
@@ -77,19 +81,18 @@ def backward_elimination(ev: Evaluator, min_features: int = 2,
     return np.array(sorted(best_set), dtype=int)
 
 
-def rfe(ev: Evaluator, drop_frac: float = 0.5, min_features: int = 2,
-        seed: int = 0) -> np.ndarray:
+def rfe(ev: Evaluator, seed: int = 0) -> np.ndarray:
     """Recursive feature elimination: refit the RF ranker on the surviving
-    set, drop the weakest ``drop_frac``, keep the best holdout subset."""
+    set, drop the weakest ``_DROP_FRAC``, keep the best holdout subset."""
     current = np.arange(ev.X.shape[1])
     best_total, best_set = -np.inf, current
-    while len(current) >= min_features:
+    while len(current) >= _MIN_FEATURES:
         s = ev.score(current)
         if s > best_total:
             best_total, best_set = s, current.copy()
-        if len(current) == min_features:
+        if len(current) == _MIN_FEATURES:
             break
         imp = random_forest_scores(ev.X[:, current], ev.y, ev.task, seed)
-        keep = max(min_features, int(len(current) * (1 - drop_frac)))
+        keep = max(_MIN_FEATURES, int(len(current) * (1 - _DROP_FRAC)))
         current = current[np.argsort(imp)[::-1][:keep]]
     return np.sort(best_set).astype(int)

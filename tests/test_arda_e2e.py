@@ -14,7 +14,6 @@ import pytest
 from repro.core import arda
 from repro.core.arda import (ArdaConfig, final_estimate, join_candidate,
                              prepare_batches, run_selector)
-from repro.core.rifs import RIFSConfig
 from repro.joins.plan import CandidateJoin
 from repro.repository import datasets
 from repro.repository.repo import DataRepository, Scenario
@@ -27,7 +26,7 @@ def school(spark):
 
 @pytest.fixture(scope="module")
 def school_cfg():
-    return ArdaConfig(coreset_size=400, rifs=RIFSConfig(k=6), eval_trees=15,
+    return ArdaConfig(coreset_size=400, rifs_k=6, eval_trees=15,
                       final_trees=40)
 
 
@@ -130,7 +129,7 @@ class TestStrategies:
     @pytest.mark.parametrize("strategy", ["table", "budget", "full"])
     def test_each_join_strategy_runs(self, spark, school, strategy):
         cfg = ArdaConfig(coreset_size=300, join_strategy=strategy, budget=40,
-                         rifs=RIFSConfig(k=3), eval_trees=10, final_trees=20)
+                         rifs_k=3, eval_trees=10, final_trees=20)
         batches, info = prepare_batches(spark, school, cfg)
         expect = {"table": len(school.candidates), "full": 1}
         if strategy in expect:
@@ -141,7 +140,7 @@ class TestStrategies:
     def test_tr_prefilter_removes_tables(self, spark, school):
         # noise tables cover 50-100% of the key domain, so TR = 1/coverage;
         # tau=1.2 removes those covering < ~83%
-        cfg = ArdaConfig(coreset_size=300, tr_tau=1.2, rifs=RIFSConfig(k=3),
+        cfg = ArdaConfig(coreset_size=300, tr_tau=1.2, rifs_k=3,
                          eval_trees=10)
         batches, info = prepare_batches(spark, school, cfg)
         assert info["tr_removed"] > 0
@@ -150,7 +149,7 @@ class TestStrategies:
         # tau = 0 removes every candidate: the coreset is one batch with no
         # joins, every base feature is force-kept and nothing is selectable
         sc = datasets.school_s(spark, n_schools=300)
-        cfg = ArdaConfig(coreset_size=200, tr_tau=0.0, rifs=RIFSConfig(k=3),
+        cfg = ArdaConfig(coreset_size=200, tr_tau=0.0, rifs_k=3,
                          eval_trees=10)
         batches, info = prepare_batches(spark, sc, cfg)
         assert info["tr_removed"] == len(sc.candidates)
@@ -164,7 +163,7 @@ class TestStrategies:
 class TestSoftJoinIntegration:
     def test_taxi_pipeline_with_soft_weather_join(self, spark):
         sc = datasets.taxi(spark, n_days=80, n_zones=2)
-        cfg = ArdaConfig(coreset_size=150, rifs=RIFSConfig(k=3), eval_trees=10,
+        cfg = ArdaConfig(coreset_size=150, rifs_k=3, eval_trees=10,
                          final_trees=25)
         batches, _ = prepare_batches(spark, sc, cfg)
         names = [nm for b in batches for nm in b.names]
@@ -186,7 +185,7 @@ class TestSoftJoinIntegration:
 class TestMicroPipeline:
     def test_kraken_rifs_beats_all_features(self, spark):
         sc = datasets.kraken(spark)
-        cfg = ArdaConfig(coreset_size=900, rifs=RIFSConfig(k=5), eval_trees=20,
+        cfg = ArdaConfig(coreset_size=900, rifs_k=5, eval_trees=20,
                          final_trees=40)
         batches, _ = prepare_batches(spark, sc, cfg)
         assert len(batches) == 1
@@ -198,7 +197,7 @@ class TestMicroPipeline:
 
     def test_micro_base_idx_matches_base_feature_cols(self, spark):
         sc = datasets.kraken(spark)
-        cfg = ArdaConfig(coreset_size=500, rifs=RIFSConfig(k=3))
+        cfg = ArdaConfig(coreset_size=500, rifs_k=3)
         batches, _ = prepare_batches(spark, sc, cfg)
         b = batches[0]
         assert {b.names[j] for j in b.base_idx} == set(sc.base_feature_cols)
@@ -207,7 +206,7 @@ class TestMicroPipeline:
 class TestJoinOnce:
     def test_each_table_joined_once_per_scenario(self, spark, monkeypatch):
         sc = datasets.school_s(spark, n_schools=300)
-        cfg = ArdaConfig(coreset_size=200, rifs=RIFSConfig(k=3), eval_trees=10,
+        cfg = ArdaConfig(coreset_size=200, rifs_k=3, eval_trees=10,
                          final_trees=20)
         joins, rows = [], []
         join, assemble = arda.join_candidate, arda.assemble

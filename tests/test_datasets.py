@@ -118,10 +118,6 @@ class TestMicro:
         for c in sc.base_feature_cols:
             assert abs(np.corrcoef(pdf[c], y)[0, 1]) < 0.1
 
-    def test_kraken_without_noise(self, spark):
-        sc = datasets.kraken(spark, with_noise=False)
-        assert not any(c.startswith("noise_") for c in sc.base.columns)
-
     def test_digits_classes(self, spark):
         sc = datasets.digits(spark)
         pdf = sc.base.toPandas()

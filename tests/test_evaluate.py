@@ -9,30 +9,30 @@ from repro.ml.evaluate import (Evaluator, accuracy, holdout_score, mae,
 
 class TestSplit:
     def test_disjoint_and_complete(self):
-        tr, te = train_test_split(100, 0.25, seed=0)
+        tr, te = train_test_split(100, seed=0)
         assert len(set(tr) & set(te)) == 0
         assert len(tr) + len(te) == 100
         assert len(te) == 25
 
     def test_deterministic(self):
-        a = train_test_split(50, 0.2, seed=3)
-        b = train_test_split(50, 0.2, seed=3)
+        a = train_test_split(50, seed=3)
+        b = train_test_split(50, seed=3)
         np.testing.assert_array_equal(a[0], b[0])
 
     def test_seed_changes_split(self):
-        a = train_test_split(50, 0.2, seed=1)[1]
-        b = train_test_split(50, 0.2, seed=2)[1]
+        a = train_test_split(50, seed=1)[1]
+        b = train_test_split(50, seed=2)[1]
         assert not np.array_equal(a, b)
 
     def test_stratified_keeps_label_ratio(self):
         y = np.array([0] * 80 + [1] * 20)
-        tr, te = train_test_split(100, 0.25, seed=0, y=y)
+        tr, te = train_test_split(100, seed=0, y=y)
         assert (y[te] == 1).sum() == 5
         assert (y[te] == 0).sum() == 20
 
     def test_stratified_minimum_one_per_class(self):
         y = np.array([0] * 97 + [1] * 3)
-        _, te = train_test_split(100, 0.25, seed=0, y=y)
+        _, te = train_test_split(100, seed=0, y=y)
         assert (y[te] == 1).sum() >= 1
 
 

@@ -38,6 +38,14 @@ class TestHelpers:
         cfg = common.make_cfg(True, coreset_method="sketch", budget=99)
         assert cfg.coreset_method == "sketch" and cfg.budget == 99
 
+    def test_make_cfg_misspelt_override_raises(self):
+        with pytest.raises(TypeError):
+            common.make_cfg(False, coreset_methd="sketch")
+
+    def test_scenario_sizes_unknown_profile_raises(self):
+        with pytest.raises(ValueError, match="mediun"):
+            common.scenario_sizes("taxi", False, "mediun")
+
     def test_broadcast_joins_restores(self, spark):
         key = "spark.sql.autoBroadcastJoinThreshold"
         before = spark.conf.get(key)

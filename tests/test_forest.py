@@ -167,7 +167,7 @@ class TestEdgeCases:
 
     def test_max_features_variants(self, reg_data):
         X, y = reg_data
-        for mf in ("sqrt", "all", 0.5, 3):
+        for mf in ("sqrt", "all"):
             rf = RandomForest(task="reg", n_trees=3, max_features=mf, seed=0).fit(X, y)
             assert rf.predict(X[:5]).shape == (5,)
 
@@ -189,7 +189,7 @@ def _reference_tree(rf: RandomForest, B: np.ndarray, y: np.ndarray, seed: int) -
     right = np.zeros(max_nodes, dtype=np.int32)
     value = np.zeros((max_nodes, n_classes)) if cls else np.zeros(max_nodes)
     imp = np.zeros(d)
-    n_nodes, nb, msl = 1, rf.n_bins, rf.min_samples_leaf
+    n_nodes, nb, msl = 1, forest._N_BINS, rf.min_samples_leaf
     stack = [(0, boot, 0)]
     while stack:
         node, idx, depth = stack.pop()
@@ -246,9 +246,9 @@ def _reference_forest(rf: RandomForest, X: np.ndarray, y: np.ndarray) -> RandomF
     """``rf`` fitted as ``RandomForest.fit`` does, but with ``_reference_tree``."""
     ref = RandomForest(**{f: getattr(rf, f) for f in
                           ("task", "n_trees", "max_depth", "min_samples_leaf",
-                           "max_features", "n_bins", "seed")})
+                           "max_features", "seed")})
     rng = np.random.default_rng(ref.seed)
-    ref.edges_ = _quantile_edges(X, ref.n_bins, rng)
+    ref.edges_ = _quantile_edges(X, forest._N_BINS, rng)
     B = _bin_matrix(X, ref.edges_)
     if ref.task == "cls":
         ref.classes_, y_work = np.unique(y, return_inverse=True)

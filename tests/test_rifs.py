@@ -5,8 +5,7 @@ import pytest
 
 from repro.core import arda, rifs
 from repro.core.ranking import ensemble_scores, normalized_rank
-from repro.core.rifs import (RIFSConfig, inject_random_features, rifs_fractions,
-                             rifs_select)
+from repro.core.rifs import inject_random_features, rifs_fractions, rifs_select
 from repro.core.search import exponential_search
 from repro.ml.evaluate import Evaluator
 
@@ -39,7 +38,7 @@ class TestNormalizedRank:
 class TestInjection:
     def test_count(self, planted):
         X, _ = planted
-        N = inject_random_features(X, eta=0.2, seed=0)
+        N = inject_random_features(X, seed=0)
         assert N.shape == (500, int(np.ceil(0.2 * 66)))
 
     def test_moment_matching_mean(self):
@@ -53,8 +52,8 @@ class TestInjection:
 
     def test_deterministic(self, planted):
         X, _ = planted
-        a = inject_random_features(X, 0.2, seed=5)
-        b = inject_random_features(X, 0.2, seed=5)
+        a = inject_random_features(X, seed=5)
+        b = inject_random_features(X, seed=5)
         np.testing.assert_array_equal(a, b)
 
 
@@ -79,13 +78,13 @@ class TestEnsemble:
 class TestFractions:
     def test_separates_signal_from_noise(self, planted):
         X, y = planted
-        fr = rifs_fractions(X, y, "reg", RIFSConfig(k=5))
+        fr = rifs_fractions(X, y, "reg", 5, 0)
         assert fr[[0, 1, 2]].min() >= 0.8
         assert fr[6:].mean() < 0.3
 
     def test_range(self, planted):
         X, y = planted
-        fr = rifs_fractions(X, y, "reg", RIFSConfig(k=3))
+        fr = rifs_fractions(X, y, "reg", 3, 0)
         assert (fr >= 0).all() and (fr <= 1).all()
 
     def test_scale_invariance(self, planted):
@@ -94,8 +93,8 @@ class TestFractions:
         X, y = planted
         Xs = X.copy()
         Xs[:, 10] *= 1e6
-        fr1 = rifs_fractions(X, y, "reg", RIFSConfig(k=3))
-        fr2 = rifs_fractions(Xs, y, "reg", RIFSConfig(k=3))
+        fr1 = rifs_fractions(X, y, "reg", 3, 0)
+        fr2 = rifs_fractions(Xs, y, "reg", 3, 0)
         assert fr2[[0, 1, 2]].min() >= 0.6
         assert abs(fr1[6:].mean() - fr2[6:].mean()) < 0.25
 
@@ -103,7 +102,7 @@ class TestFractions:
         rng = np.random.default_rng(1)
         X = np.hstack([rng.normal(size=(400, 3)), rng.normal(size=(400, 30))])
         y = (X[:, 0] - X[:, 1] > 0).astype(int)
-        fr = rifs_fractions(X, y, "cls", RIFSConfig(k=5))
+        fr = rifs_fractions(X, y, "cls", 5, 0)
         assert fr[[0, 1]].min() >= 0.8
 
 
@@ -111,8 +110,7 @@ class TestRIFSSelect:
     def test_selects_mostly_signal(self, planted):
         X, y = planted
         ev = Evaluator(X, y, "reg", seed=0, n_trees=20)
-        cfg = RIFSConfig(k=5)
-        sel = set(rifs_select(ev, rifs_fractions(X, y, "reg", cfg), cfg).tolist())
+        sel = set(rifs_select(ev, rifs_fractions(X, y, "reg", 5, 0)).tolist())
         assert {0, 1, 2} <= sel
         noise_kept = [j for j in sel if j >= 6]
         assert len(noise_kept) <= 5
@@ -120,8 +118,7 @@ class TestRIFSSelect:
     def test_force_keep_respected(self, planted):
         X, y = planted
         ev = Evaluator(X, y, "reg", seed=0, n_trees=15)
-        cfg = RIFSConfig(k=3)
-        sel = rifs_select(ev, rifs_fractions(X, y, "reg", cfg), cfg,
+        sel = rifs_select(ev, rifs_fractions(X, y, "reg", 3, 0),
                           force_keep=np.array([50, 51]))
         assert {50, 51} <= set(sel.tolist())
 
@@ -130,7 +127,7 @@ class TestRIFSSelect:
         fr = np.zeros(X.shape[1])
         fr[[0, 1, 2]] = 1.0
         ev = Evaluator(X, y, "reg", seed=0, n_trees=15)
-        sel = rifs_select(ev, fr, RIFSConfig(k=1))
+        sel = rifs_select(ev, fr)
         assert set(sel.tolist()) == {0, 1, 2}
 
 
@@ -149,7 +146,7 @@ class TestPipelineSeed:
         d = X.shape[1]
         batch = arda.Batch(X, y, [f"f{j}" for j in range(d)], np.arange(0),
                            np.arange(d), ["t"] * d)
-        cfg = arda.ArdaConfig(seed=3, rifs=RIFSConfig(k=3), eval_trees=5)
+        cfg = arda.ArdaConfig(seed=3, rifs_k=3, eval_trees=5)
         arda.run_selector([batch], "rifs", "reg", cfg)
         assert seeds == [3000, 3001, 3002]
 

@@ -80,7 +80,7 @@ class TestSparseRegression:
         X, y = reg_data
         Y = (y - y.mean())[:, None]
         W0 = np.zeros((30, 1))
-        W = l21_solve(X, Y, gamma=0.5, max_iter=30)
+        W = l21_solve(X, Y, gamma=0.5)
         assert l21_loss(X, Y, W, 0.5) < l21_loss(X, Y, W0, 0.5)
 
     def test_support_recovery(self, reg_data):
@@ -161,7 +161,7 @@ class TestWrappers:
     def test_rfe_shrinks(self, reg_data):
         X, y = reg_data
         ev = Evaluator(X, y, "reg", seed=0, n_trees=10)
-        sel = rfe(ev, drop_frac=0.5, min_features=2)
+        sel = rfe(ev)
         assert len(sel) < 30
 
     def test_results_sorted_and_unique(self, cls_data):
