@@ -1,13 +1,16 @@
-"""Shared SparkSession builder for spark-submit job entrypoints.
+"""spark-submit entrypoint reproducing one paper table (1-6).
 
-Jobs are standalone (``spark-submit jobs/tableN_*.py`` or plain
-``python jobs/tableN_*.py``); tests and benchmarks use the conftest
-``spark`` fixture instead. Flags: ``--quick`` shrinks every scenario,
-``--only NAME`` restricts to one dataset.
+Usage: python jobs/run_table.py N [--quick] [--only DATASET ...]
+Writes results/tableN_*.csv and prints the rows. ``--quick`` shrinks
+every scenario, ``--only`` restricts the run to the named datasets.
+Tests and benchmarks use the conftest ``spark`` fixture instead.
 """
 import argparse
+import importlib
 import os
 import sys
+
+import pandas as pd
 
 
 def get_spark(app: str):
@@ -29,16 +32,17 @@ def get_spark(app: str):
     return s
 
 
-def job_main(app: str, run_fn):
-    ap = argparse.ArgumentParser(description=app)
+def main() -> int:
+    ap = argparse.ArgumentParser(description="reproduce one ARDA paper table")
+    ap.add_argument("table", type=int, choices=range(1, 7), help="paper table number")
     ap.add_argument("--quick", action="store_true", help="small smoke-scale run")
     ap.add_argument("--only", nargs="*", default=None, help="subset of datasets")
     args = ap.parse_args()
-    spark = get_spark(app)
+    table = importlib.import_module(f"repro.experiments.table{args.table}")
+    spark = get_spark(f"arda-table{args.table}")
     try:
-        df = run_fn(spark, quick=args.quick, only=args.only)
-        with __import__("pandas").option_context("display.width", 200,
-                                                 "display.max_columns", 50):
+        df = table.run(spark, quick=args.quick, only=args.only)
+        with pd.option_context("display.width", 200, "display.max_columns", 50):
             print(df.to_string(index=False))
     finally:
         spark.stop()
@@ -46,4 +50,4 @@ def job_main(app: str, run_fn):
 
 
 if __name__ == "__main__":
-    sys.exit("this module is a helper; run one of the tableN_*.py jobs")
+    sys.exit(main())

@@ -49,12 +49,12 @@ from repro.joins.soft import soft_left_join
 from repro.ml.encode import assemble
 from repro.ml.evaluate import Evaluator, holdout_score, make_estimator
 from repro.selectors import rank_scores
-from repro.selectors.tuple_ratio import tr_filter
+from repro.selectors.tuple_ratio import tuple_ratios
 from repro.selectors.wrappers import backward_elimination, forward_selection, rfe
 from repro.repository.repo import Scenario
 
 __all__ = ["ArdaConfig", "prepare_batches", "run_selector", "final_estimate",
-           "Batch", "AugmentedTable"]
+           "Batch", "AugmentedTable", "tr_kept_tables"]
 
 _CHECKPOINT_EVERY = 8  # truncate join lineage on long batch chains
 _ROW_ID = "__row_id"
@@ -114,10 +114,8 @@ def join_candidate(df: DataFrame, cand: CandidateJoin, foreign: DataFrame,
     if cand.soft:
         bkey, fkey = cand.base_keys[0], cand.foreign_keys[0]
         foreign = align_time_tables(df, foreign, bkey, fkey)
-        if cand.soft_mode == "hard_resample":
-            return left_join(df, foreign, [bkey], [fkey], cand.table)
         return soft_left_join(df, foreign, bkey, fkey, cand.table,
-                              mode=cand.soft_mode, seed=seed)
+                              mode=cand.soft, seed=seed)
     return left_join(df, foreign, cand.base_keys, cand.foreign_keys, cand.table)
 
 
@@ -179,7 +177,8 @@ def _encode(scenario: Scenario, aug: AugmentedTable, tables: set[str],
     ``scenario.base_feature_cols``; every other base column there is
     augmentation to select over.
     """
-    cols = [c for c in aug.frame.columns if c not in scenario.key_cols
+    keys = set(scenario.key_cols)
+    cols = [c for c in aug.frame.columns if c not in keys
             and (c not in aug.source or aug.source[c] in tables)]
     rows = aug.frame if row_ids is None else aug.frame.loc[row_ids]
     X, y, names, sources = assemble(rows[cols].reset_index(drop=True),
@@ -191,13 +190,10 @@ def _encode(scenario: Scenario, aug: AugmentedTable, tables: set[str],
     return X, y, names, col_tables, is_base
 
 
-def _apply_tr_prefilter(scenario: Scenario, candidates: list[CandidateJoin],
-                        tau: float) -> tuple[list[CandidateJoin], int]:
-    n_base = scenario.base.count()
-    decisions = tr_filter(n_base, candidates, scenario.repo.tables, tau)
-    keep = {d.name for d in decisions if d.keep}
-    kept = [c for c in candidates if c.table in keep]
-    return kept, len(candidates) - len(kept)
+def tr_kept_tables(scenario: Scenario, tau: float) -> set[str]:
+    """The candidate tables the Tuple-Ratio rule keeps: TR <= ``tau``."""
+    ratios = tuple_ratios(scenario.base.count(), scenario.candidates, scenario.repo)
+    return {table for table, ratio in ratios.items() if ratio <= tau}
 
 
 def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
@@ -205,10 +201,11 @@ def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
     """Join plan + joins + coreset + encoding. Returns (batches, info)."""
     info: dict = {}
     size = cfg.coreset_size
-    candidates = list(scenario.candidates)
+    candidates = scenario.candidates
     if cfg.tr_tau is not None:
-        candidates, removed = _apply_tr_prefilter(scenario, candidates, cfg.tr_tau)
-        info["tr_removed"] = removed
+        keep = tr_kept_tables(scenario, cfg.tr_tau)
+        candidates = [c for c in candidates if c.table in keep]
+        info["tr_removed"] = len(scenario.candidates) - len(candidates)
     budget = cfg.budget or size
     # An empty plan (no repository, or a TR prefilter that removed every
     # candidate) still yields one batch: the coreset itself, with no joins.

@@ -19,12 +19,11 @@ from dataclasses import dataclass, replace
 import pandas as pd
 
 from repro.core.arda import (ArdaConfig, Batch, _union_batch, final_estimate,
-                             prepare_batches, run_selector)
+                             prepare_batches, run_selector, tr_kept_tables)
 from repro.ml.automl import automl_best_score
 from repro.repository import datasets
 from repro.repository.repo import Scenario
 from repro.selectors import applicable
-from repro.selectors.tuple_ratio import tr_filter
 
 __all__ = ["broadcast_joins", "make_cfg", "scenario_sizes", "load",
            "REG_SELECTORS", "CLS_SELECTORS", "selector_list", "run_method",
@@ -157,9 +156,7 @@ def tr_standalone(spark, scenario: Scenario, batches: list[Batch],
     """Paper's 'TR rule' row: keep every augmented feature of the prepared
     ``batches`` whose table passes the rule; no feature selection."""
     t0 = time.perf_counter()
-    n_base = scenario.base.count()
-    decisions = tr_filter(n_base, scenario.candidates, scenario.repo.tables, tau)
-    keep_tables = {d.name for d in decisions if d.keep}
+    keep_tables = tr_kept_tables(scenario, tau)
     kept = [b.names[j] for b in batches for j in b.aug_idx
             if b.col_tables[j] in keep_tables]
     score, n_tables = final_estimate(spark, scenario, kept, cfg)

@@ -16,16 +16,14 @@ import pandas as pd
 
 from repro.core.arda import final_estimate, prepare_batches, run_selector
 from repro.experiments.common import make_cfg, pct_change_score, run_table
-from repro.selectors.tuple_ratio import tr_filter
+from repro.selectors.tuple_ratio import tuple_ratios
 
 DATASETS = ["taxi", "pickup", "poverty", "school_s", "school_l"]
 
 
 def _rows(spark, scenario, quick: bool) -> list[dict]:
-    n_base = scenario.base.count()
-    ratios = [d.ratio for d in tr_filter(
-        n_base, scenario.candidates, scenario.repo.tables, tau=np.inf)]
-    tau = float(np.quantile(ratios, 0.45))  # removes the worst ~55%
+    ratios = tuple_ratios(scenario.base.count(), scenario.candidates, scenario.repo)
+    tau = float(np.quantile(list(ratios.values()), 0.45))  # removes the worst ~55%
 
     def pipeline(tr_tau):
         # Each pipeline joins its own tables: a fresh copy of the scenario

@@ -1,9 +1,10 @@
 """Join plans: candidate ordering, table grouping, budgets (paper §4).
 
 A ``CandidateJoin`` is what the discovery system emits: which base
-column(s) join which foreign column(s) of which table, whether the key is
-soft, and a relevance score. ``make_plan`` turns a scored candidate list
-into batches:
+column(s) join which foreign column(s) of which table, a relevance score,
+and how its key matches (``soft``: ``None`` joins on equal keys,
+``"nearest"`` or ``"two_way"`` on the closest values). ``make_plan``
+turns a scored candidate list into batches:
 
 * ``table``  — one table per batch, in priority order;
 * ``budget`` — as many tables per batch as fit a feature budget
@@ -26,8 +27,7 @@ class CandidateJoin:
     base_keys: list[str]
     foreign_keys: list[str]
     score: float = 0.0  # discovery relevance (intersection score)
-    soft: bool = False  # soft key: join on closest value, not equality
-    soft_mode: str = "nearest"  # "nearest" | "two_way" | "hard_resample"
+    soft: str | None = None  # None (equal keys) | "nearest" | "two_way"
     n_features: int = 0  # feature columns the join would add
 
 

@@ -184,8 +184,4 @@ class LinearSVC:
         return self._sc.transform(np.asarray(X, dtype=np.float64)) @ self.coef_.T + self.intercept_
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        df = self.decision_function(X)
-        if len(self.classes_) == 2:
-            # OvR with two classes: the two scores are mirror images; use class-1 score.
-            return self.classes_[(df[:, 1] > df[:, 0]).astype(int)]
-        return self.classes_[np.argmax(df, axis=1)]
+        return self.classes_[np.argmax(self.decision_function(X), axis=1)]

@@ -14,6 +14,14 @@ We rebuild each as a generator that plants known signal:
   zero signal — the "majority of joins are semantically meaningless"
   regime ARDA is designed for.
 
+Each generator returns a ``Scenario``: the base table, its tables as a
+``dict`` of Spark DataFrames, and the declared candidate joins. No key
+column is declared apart from them: the base columns the candidates join
+on are the scenario's keys (``Scenario.key_cols``), never encoded as
+features. The one soft candidate per time-keyed scenario names its match
+(``soft="two_way"`` for Taxi's hourly weather, ``"nearest"`` for
+Pickup's); every other key joins on equality.
+
 Each candidate join carries a declared ``score``, and the scores set the
 join-plan order (``joins.plan.order_candidates``). They are not the
 intersection scores the discovery simulator (``repository/discovery.py``)
@@ -42,7 +50,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.joins.plan import CandidateJoin
-from repro.repository.repo import DataRepository, Scenario
+from repro.repository.repo import Scenario
 
 __all__ = ["taxi", "pickup", "poverty", "school_s", "school_l",
            "kraken", "digits", "SCENARIOS", "load_scenario"]
@@ -74,20 +82,17 @@ def _signal_cols(rng: np.random.Generator, z: np.ndarray, n_extra: int,
 
 
 def _finish(spark: SparkSession, name: str, task: str, base_pdf: pd.DataFrame,
-            target: str, key_cols: list[str], tables: dict[str, pd.DataFrame],
+            target: str, tables: dict[str, pd.DataFrame],
             cands: list[CandidateJoin], signal_tables: set[str]) -> Scenario:
-    repo = DataRepository()
-    for tname, pdf in tables.items():
-        repo.add(tname, spark.createDataFrame(pdf))
+    repo = {tname: spark.createDataFrame(pdf) for tname, pdf in tables.items()}
     return Scenario(name=name, task=task,
                     base=spark.createDataFrame(base_pdf), target=target,
-                    repo=repo, candidates=cands, signal_tables=signal_tables,
-                    key_cols=key_cols)
+                    repo=repo, candidates=cands, signal_tables=signal_tables)
 
 
 def _hard_cand(table: str, key: str, score: float, n_features: int) -> CandidateJoin:
     return CandidateJoin(table=table, base_keys=[key], foreign_keys=[key],
-                         score=score, soft=False, n_features=n_features)
+                         score=score, n_features=n_features)
 
 
 # --------------------------------------------------------------------- taxi
@@ -137,8 +142,8 @@ def taxi(spark: SparkSession, seed: int = 0, n_days: int = 375,
         "humidity": rng.uniform(20, 90, len(hours)),
         "wind": np.abs(rng.normal(8, 4, len(hours)))})
     cands.append(CandidateJoin(table="weather", base_keys=["date"],
-                               foreign_keys=["obs_time"], score=0.98, soft=True,
-                               soft_mode="two_way", n_features=3))
+                               foreign_keys=["obs_time"], score=0.98,
+                               soft="two_way", n_features=3))
     # Events: daily hard key
     tables["events"] = pd.DataFrame({
         "date": dates, "is_event": event_day,
@@ -163,9 +168,8 @@ def taxi(spark: SparkSession, seed: int = 0, n_days: int = 375,
         tname = f"taxi_noise_{i:02d}"
         tables[tname] = _noise_pdf(rng, keys, key, nf, f"tn{i}")
         cands.append(_hard_cand(tname, key, float(rng.uniform(0.3, 0.92)), nf))
-    return _finish(spark, "taxi", "reg", base, "trips", ["date", "zone_id"],
-                   tables, cands, {"weather", "events", "zone_info",
-                                   "fuel_price", "traffic_idx"})
+    return _finish(spark, "taxi", "reg", base, "trips", tables, cands,
+                   {"weather", "events", "zone_info", "fuel_price", "traffic_idx"})
 
 
 # ------------------------------------------------------------------- pickup
@@ -200,8 +204,8 @@ def pickup(spark: SparkSession, seed: int = 1, n_hours: int = 2000) -> Scenario:
         "temperature": wtemp + rng.normal(0, .3, n),
         "precip": np.abs(rng.normal(0, 1, n))})
     cands.append(CandidateJoin(table="lga_weather", base_keys=["pickup_hour"],
-                               foreign_keys=["obs_time"], score=0.98, soft=True,
-                               soft_mode="nearest", n_features=2))
+                               foreign_keys=["obs_time"], score=0.98,
+                               soft="nearest", n_features=2))
     tables["flights"] = pd.DataFrame({
         "pickup_hour": hours, "n_arrivals": arrivals + rng.normal(0, 1, n),
         **{f"fl_x{i}": rng.normal(size=n) for i in range(2)}})
@@ -217,8 +221,7 @@ def pickup(spark: SparkSession, seed: int = 1, n_hours: int = 2000) -> Scenario:
         tname = f"pickup_noise_{i:02d}"
         tables[tname] = _noise_pdf(rng, hours.to_numpy(), "pickup_hour", nf, f"pn{i}")
         cands.append(_hard_cand(tname, "pickup_hour", float(rng.uniform(0.3, 0.94)), nf))
-    return _finish(spark, "pickup", "reg", base, "pickups", ["pickup_hour"],
-                   tables, cands,
+    return _finish(spark, "pickup", "reg", base, "pickups", tables, cands,
                    {"lga_weather", "flights", "security_wait", "cab_supply"})
 
 
@@ -257,8 +260,7 @@ def poverty(spark: SparkSession, seed: int = 2, n_counties: int = 3000) -> Scena
         keys = rng.choice(fips, size=int(cov * n_counties), replace=False)
         tables[tname] = _noise_pdf(rng, np.sort(keys), "fips", nf, f"cn{i}")
         cands.append(_hard_cand(tname, "fips", float(cov), nf))
-    return _finish(spark, "poverty", "reg", base, "poverty_rate",
-                   ["fips"], tables, cands,
+    return _finish(spark, "poverty", "reg", base, "poverty_rate", tables, cands,
                    {"unemployment", "education", "pop_change",
                     "median_income", "rurality"})
 
@@ -308,8 +310,8 @@ def _school(spark: SparkSession, seed: int, n_schools: int,
         keys = np.sort(rng.choice(sid, size=int(cov * n_schools), replace=False))
         tables[tname] = _noise_pdf(rng, keys, "school_id", nf, f"sn{i}")
         cands.append(_hard_cand(tname, "school_id", float(cov), nf))
-    return _finish(spark, name, "cls", base, "performance", ["school_id"],
-                   tables, cands, set(exposed))
+    return _finish(spark, name, "cls", base, "performance", tables, cands,
+                   set(exposed))
 
 
 def school_s(spark: SparkSession, seed: int = 3, n_schools: int = 2000) -> Scenario:
@@ -362,8 +364,7 @@ def kraken(spark: SparkSession, seed: int = 4) -> Scenario:
     # the "user's base table" is four uninformative housekeeping sensors —
     # baseline accuracy sits near the majority-class rate, as in the paper
     return Scenario(name="kraken", task="cls", base=spark.createDataFrame(pdf),
-                    target="failure", repo=DataRepository(), candidates=[],
-                    signal_tables=set(), key_cols=[],
+                    target="failure", repo={}, candidates=[],
                     base_feature_cols=feat_cols[16:20],
                     original_features=feat_cols)
 
@@ -396,8 +397,7 @@ def digits(spark: SparkSession, seed: int = 5) -> Scenario:
     # base table = the 6 pixels whose prototypes vary least across classes
     weak = np.argsort(protos.std(axis=0))[:6]
     return Scenario(name="digits", task="cls", base=spark.createDataFrame(pdf),
-                    target="digit", repo=DataRepository(), candidates=[],
-                    signal_tables=set(), key_cols=[],
+                    target="digit", repo={}, candidates=[],
                     base_feature_cols=[feat_cols[i] for i in sorted(weak)],
                     original_features=feat_cols)
 

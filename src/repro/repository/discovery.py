@@ -1,17 +1,19 @@
 """Join-discovery simulator — the Aurum / NYU Auctus stand-in (DESIGN.md §2).
 
-Given a base table and a repository, scan every (base column, candidate
-column) pair of compatible type family and score it with the paper's own
-fallback metric, the *intersection score*:
+Given a base table, the base columns to probe and a repository (a dict
+of named Spark tables), scan every (base column, candidate column) pair
+of compatible type family and score it with the paper's own fallback
+metric, the *intersection score*:
 
     |distinct(base key) ∩ distinct(foreign key)| / |distinct(base key)|
 
 computed with a distributed distinct-inner-join per pair — "DataFrame
 joins across a data repository to search candidate tables". Pairs above
-``min_score`` become ``CandidateJoin``s; timestamp pairs are flagged soft
-(the paper auto-soft-joins time keys). Like the real systems, the output
-is noisy: any table sharing a key domain scores high whether or not its
-features carry signal — pruning those is the feature selector's job.
+``min_score`` become ``CandidateJoin``s; timestamp pairs get a soft
+two-way match (the paper auto-soft-joins time keys). Like the real
+systems, the output is noisy: any table sharing a key domain scores high
+whether or not its features carry signal — pruning those is the feature
+selector's job.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.joins.plan import CandidateJoin, order_candidates
-from repro.repository.repo import DataRepository
 
 __all__ = ["intersection_score", "discover_joins"]
 
@@ -50,20 +51,18 @@ def intersection_score(base: DataFrame, base_col: str,
     return inter / nb
 
 
-def discover_joins(base: DataFrame, repo: DataRepository,
-                   key_cols: list[str] | None = None,
+def discover_joins(base: DataFrame, repo: dict[str, DataFrame],
+                   probe_cols: list[str],
                    min_score: float = 0.05) -> list[CandidateJoin]:
     """Emit one best-scoring CandidateJoin per (table, base column) pair.
 
-    ``key_cols`` restricts which base columns are probed as foreign keys
-    (a discovery system knows the base schema); ``None`` probes them all.
-    A table joinable through several base columns yields one candidate per
-    base column — the paper's "multiple-option key join", each joined
-    separately.
+    ``probe_cols`` are the base columns probed as foreign keys (a
+    discovery system knows the base schema). A table joinable through
+    several base columns yields one candidate per base column — the
+    paper's "multiple-option key join", each joined separately.
     """
-    probe_cols = key_cols if key_cols is not None else base.columns
     out: list[CandidateJoin] = []
-    for tname in repo.names():
+    for tname in sorted(repo):
         ft = repo[tname]
         for bcol in probe_cols:
             fam = _family(base.schema[bcol].dataType)
@@ -82,15 +81,14 @@ def discover_joins(base: DataFrame, repo: DataRepository,
                         bcol,
                         ft.select(F.date_trunc("day", F.col(fcol).cast("timestamp")).alias(fcol)),
                         fcol)
-                    soft, mode = True, _TIME_SOFT_MODE
+                    soft = _TIME_SOFT_MODE
                 else:
                     s = intersection_score(base, bcol, ft, fcol)
-                    soft, mode = False, "nearest"
+                    soft = None
                 if s >= min_score and (best is None or s > best.score):
                     best = CandidateJoin(
                         table=tname, base_keys=[bcol], foreign_keys=[fcol],
-                        score=s, soft=soft, soft_mode=mode,
-                        n_features=len(ft.columns) - 1)
+                        score=s, soft=soft, n_features=len(ft.columns) - 1)
             if best is not None:
                 out.append(best)
     return order_candidates(out)

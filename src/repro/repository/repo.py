@@ -1,11 +1,10 @@
-"""Data repository and augmentation scenarios.
+"""Augmentation scenarios: ARDA's three inputs plus the planted truth.
 
-``DataRepository`` is the paper's "(potentially large) data repository":
-a bag of named Spark tables the discovery system searches. ``Scenario``
-bundles everything one end-to-end experiment needs — base table, target,
-task type, the repository, the discovered candidate joins, and (because
-our repositories are synthetic, DESIGN.md §2) the planted ground truth of
-which tables/features actually carry signal.
+A ``Scenario`` is what paper §3 gives ARDA — a base table with a target
+and task type, the "(potentially large) data repository" as a plain
+``dict`` of named Spark tables, and the candidate joins a discovery
+system emitted over it — plus, because our repositories are synthetic
+(DESIGN.md §2), the ground truth of which tables/features carry signal.
 """
 from __future__ import annotations
 
@@ -15,26 +14,7 @@ from pyspark.sql import DataFrame
 
 from repro.joins.plan import CandidateJoin
 
-__all__ = ["DataRepository", "Scenario"]
-
-
-@dataclass
-class DataRepository:
-    tables: dict[str, DataFrame] = field(default_factory=dict)
-
-    def add(self, name: str, df: DataFrame) -> None:
-        if name in self.tables:
-            raise KeyError(f"table {name!r} already registered")
-        self.tables[name] = df
-
-    def __getitem__(self, name: str) -> DataFrame:
-        return self.tables[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tables
-
-    def names(self) -> list[str]:
-        return sorted(self.tables)
+__all__ = ["Scenario"]
 
 
 @dataclass
@@ -43,12 +23,9 @@ class Scenario:
     task: str  # "reg" | "cls"
     base: DataFrame
     target: str
-    repo: DataRepository
+    repo: dict[str, DataFrame]
     candidates: list[CandidateJoin]
     signal_tables: set[str] = field(default_factory=set)
-    # columns of the base table that identify rows / act as keys (never
-    # treated as features by the encoder — they are dropped before ML)
-    key_cols: list[str] = field(default_factory=list)
     # Micro-benchmark scenarios (no repository): the "user's base table" is
     # this column subset; every other column in ``base`` (remaining original
     # features + planted noise) counts as augmentation to be selected over.
@@ -60,3 +37,15 @@ class Scenario:
     # by ``repro.core.arda`` (an ``AugmentedTable``). A cache, not a
     # setting: ``dataclasses.replace`` starts the copy without one.
     augmented: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        missing = [c.table for c in self.candidates if c.table not in self.repo]
+        if missing:
+            raise ValueError(f"scenario {self.name!r}: candidate tables "
+                             f"{missing} are not in its repository")
+
+    @property
+    def key_cols(self) -> list[str]:
+        """Base columns some candidate joins on, in first-seen order. They
+        identify rows, so the encoder never treats them as features."""
+        return list(dict.fromkeys(k for c in self.candidates for k in c.base_keys))

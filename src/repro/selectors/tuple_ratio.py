@@ -15,11 +15,9 @@ ARDA uses the rule two ways (paper §7, Table 4):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from pyspark.sql import DataFrame
 
-__all__ = ["tuple_ratio", "tr_filter"]
+__all__ = ["tuple_ratio", "tuple_ratios"]
 
 
 def tuple_ratio(n_base: int, foreign: DataFrame, key_cols: list[str]) -> float:
@@ -27,19 +25,9 @@ def tuple_ratio(n_base: int, foreign: DataFrame, key_cols: list[str]) -> float:
     return float(n_base) / max(1, n_r)
 
 
-@dataclass
-class TRDecision:
-    name: str
-    ratio: float
-    keep: bool
-
-
-def tr_filter(n_base: int, candidates, tables: dict[str, DataFrame],
-              tau: float) -> list[TRDecision]:
-    """Apply the rule to every candidate join; ``keep`` means TR <= tau
-    (the table may still help and survives into the join plan)."""
-    out = []
-    for cand in candidates:
-        r = tuple_ratio(n_base, tables[cand.table], cand.foreign_keys)
-        out.append(TRDecision(cand.table, r, r <= tau))
-    return out
+def tuple_ratios(n_base: int, candidates, tables: dict[str, DataFrame]
+                 ) -> dict[str, float]:
+    """TR of every candidate join, by table name; the rule keeps a table
+    when its ratio is at most tau (``repro.core.arda.tr_kept_tables``)."""
+    return {cand.table: tuple_ratio(n_base, tables[cand.table], cand.foreign_keys)
+            for cand in candidates}

@@ -12,11 +12,11 @@ import pandas as pd
 import pytest
 
 from repro.core import arda
-from repro.core.arda import (ArdaConfig, final_estimate, join_candidate,
-                             prepare_batches, run_selector)
+from repro.core.arda import (ArdaConfig, final_estimate, prepare_batches,
+                             run_selector)
 from repro.joins.plan import CandidateJoin
 from repro.repository import datasets
-from repro.repository.repo import DataRepository, Scenario
+from repro.repository.repo import Scenario
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ class TestPrepare:
 
     def test_aug_columns_prefixed_with_table(self, school, school_batches):
         batches, _ = school_batches
-        tables = set(school.repo.names())
+        tables = set(school.repo)
         for b in batches:
             for j in b.aug_idx:
                 assert b.names[j].split("__", 1)[0] in tables
@@ -79,6 +79,15 @@ class TestPrepare:
         sc = dataclasses.replace(sc, base=sc.base.limit(0))
         with pytest.raises(ValueError, match="no rows"):
             prepare_batches(spark, sc, ArdaConfig(coreset_size=80))
+
+    def test_missing_table_fails_loudly(self, spark):
+        # a candidate whose table is not in the repository is refused when
+        # the scenario is built, naming every such table, before any join
+        sc = _stamp_scenario(spark)
+        ghosts = [CandidateJoin(table=t, base_keys=["id"], foreign_keys=["id"])
+                  for t in ("ghost_a", "ghost_b")]
+        with pytest.raises(ValueError, match=r"\['ghost_a', 'ghost_b'\]"):
+            dataclasses.replace(sc, candidates=sc.candidates + ghosts)
 
 
 class TestSelectors:
@@ -173,14 +182,6 @@ class TestSoftJoinIntegration:
         aug_mae, _ = final_estimate(spark, sc, kept, cfg)
         assert aug_mae < base_mae  # MAE: lower is better
 
-    def test_join_candidate_dispatch_hard_resample(self, spark):
-        sc = datasets.taxi(spark, n_days=30, n_zones=2)
-        cand = [c for c in sc.candidates if c.table == "weather"][0]
-        cand.soft_mode = "hard_resample"
-        out = join_candidate(sc.base, cand, sc.repo["weather"])
-        assert out.count() == sc.base.count()
-        assert any(c.startswith("weather__") for c in out.columns)
-
 
 class TestMicroPipeline:
     def test_kraken_rifs_beats_all_features(self, spark):
@@ -252,13 +253,12 @@ def _stamp_scenario(spark) -> Scenario:
     base = pd.DataFrame({"id": np.arange(n), "x": rng.normal(size=n),
                          "stamp": pd.date_range("2020-01-01", periods=n, freq="h")})
     base["y"] = base["x"] + rng.normal(size=n)
-    repo = DataRepository()
-    repo.add("stamp", spark.createDataFrame(
-        pd.DataFrame({"id": np.arange(n), "v": rng.normal(size=n)})))
+    repo = {"stamp": spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(n), "v": rng.normal(size=n)}))}
     cand = CandidateJoin(table="stamp", base_keys=["id"], foreign_keys=["id"],
                          n_features=1)
     return Scenario(name="stamp", task="reg", base=spark.createDataFrame(base),
-                    target="y", repo=repo, candidates=[cand], key_cols=["id"])
+                    target="y", repo=repo, candidates=[cand])
 
 
 class TestProvenance:

@@ -21,7 +21,7 @@ def small_school(spark):
 class TestTaxi:
     def test_table_count_full_size(self, spark):
         sc = datasets.taxi(spark, n_days=40, n_zones=2)
-        assert len(sc.repo.names()) == 29  # paper: 29 joinable tables
+        assert len(sc.repo) == 29  # paper: 29 joinable tables
 
     def test_task_and_target(self, small_taxi):
         assert small_taxi.task == "reg" and small_taxi.target == "trips"
@@ -31,23 +31,30 @@ class TestTaxi:
 
     def test_weather_is_soft_candidate(self, small_taxi):
         w = [c for c in small_taxi.candidates if c.table == "weather"][0]
-        assert w.soft and w.soft_mode == "two_way"
+        assert w.soft == "two_way"
 
     def test_signal_tables_exist_in_repo(self, small_taxi):
-        assert small_taxi.signal_tables <= set(small_taxi.repo.names())
+        assert small_taxi.signal_tables <= set(small_taxi.repo)
 
     def test_weather_hourly_granularity(self, small_taxi):
         from repro.joins.resample import detect_granularity
         assert detect_granularity(small_taxi.repo["weather"], "obs_time") == "hour"
 
-    def test_base_keys_are_columns(self, small_taxi):
-        assert set(small_taxi.key_cols) <= set(small_taxi.base.columns)
+    def test_base_keys_are_columns(self, spark, small_taxi, small_school):
+        # the keys are the candidates' base keys, in first-seen order;
+        # pickup's only key is that of its soft weather join
+        pickup = datasets.pickup(spark, n_hours=24)
+        for sc, keys in [(small_taxi, ["date", "zone_id"]),
+                         (pickup, ["pickup_hour"]),
+                         (small_school, ["school_id"])]:
+            assert sc.key_cols == keys
+            assert set(keys) <= set(sc.base.columns)
 
 
 class TestPickup:
     def test_table_count(self, spark):
         sc = datasets.pickup(spark, n_hours=200)
-        assert len(sc.repo.names()) == 23
+        assert len(sc.repo) == 23
 
     def test_weather_offset_defeats_hard_join(self, spark):
         sc = datasets.pickup(spark, n_hours=100)
@@ -58,20 +65,23 @@ class TestPickup:
 class TestPoverty:
     def test_table_count(self, spark):
         sc = datasets.poverty(spark, n_counties=200)
-        assert len(sc.repo.names()) == 39
+        assert len(sc.repo) == 39
+        assert sc.key_cols == ["fips"]
 
     def test_partial_coverage_noise_tables(self, spark):
         sc = datasets.poverty(spark, n_counties=200)
-        n_keys = [sc.repo[t].count() for t in sc.repo.names() if t.startswith("county_noise")]
+        n_keys = [df.count() for t, df in sc.repo.items() if t.startswith("county_noise")]
         assert min(n_keys) < 200  # some noise tables cover part of the domain
 
 
 class TestSchool:
     def test_s_table_count(self, spark):
-        assert len(datasets.school_s(spark, n_schools=100).repo.names()) == 16
+        assert len(datasets.school_s(spark, n_schools=100).repo) == 16
 
     def test_l_table_count(self, spark):
-        assert len(datasets.school_l(spark, n_schools=50).repo.names()) == 350
+        sc = datasets.school_l(spark, n_schools=50)
+        assert len(sc.repo) == 350
+        assert sc.key_cols == ["school_id"]
 
     def test_l_has_more_signal_than_s(self, spark):
         s = datasets.school_s(spark, n_schools=50)
@@ -92,7 +102,7 @@ class TestSchool:
 
     def test_discovery_agrees_with_declared_candidates(self, small_school):
         found = discover_joins(small_school.base, small_school.repo,
-                               key_cols=["school_id"], min_score=0.3)
+                               ["school_id"], min_score=0.3)
         declared = {c.table for c in small_school.candidates}
         assert {c.table for c in found} == declared
 
@@ -129,6 +139,7 @@ class TestMicro:
         sc = datasets.digits(spark)
         cols = sc.base.columns
         assert sum(c.startswith("noise_") for c in cols) == 640
+        assert sc.key_cols == []
 
     def test_digits_pixel_range(self, spark):
         sc = datasets.digits(spark)
@@ -140,6 +151,7 @@ class TestMicro:
         sc = datasets.kraken(spark)
         assert len(sc.original_features) == 20
         assert sc.base_feature_cols is not None
+        assert sc.key_cols == []
 
 
 class TestRegistry:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.arda import prepare_batches
 from repro.experiments import common, table1, table2, table3, table4, table5, table6
-from repro.selectors.tuple_ratio import tr_filter
+from repro.selectors.tuple_ratio import tuple_ratios
 
 
 class TestHelpers:
@@ -64,8 +64,8 @@ class TestHelpers:
         batches, _ = prepare_batches(spark, sc, cfg)
         tau = table1.TR_TAU["taxi"]
         res = common.tr_standalone(spark, sc, batches, cfg, tau)
-        passing = {d.name for d in tr_filter(sc.base.count(), sc.candidates,
-                                             sc.repo.tables, tau) if d.keep}
+        ratios = tuple_ratios(sc.base.count(), sc.candidates, sc.repo)
+        passing = {t for t, r in ratios.items() if r <= tau}
         table_of = {b.names[j]: b.col_tables[j] for b in batches for j in b.aug_idx}
         onehot = [nm for nm in res.kept if "==" in nm]
         assert onehot and {table_of[nm] for nm in onehot} <= passing

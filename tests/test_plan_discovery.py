@@ -3,10 +3,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.arda import tr_kept_tables
 from repro.joins.plan import CandidateJoin, make_plan, order_candidates
 from repro.repository.discovery import discover_joins, intersection_score
-from repro.repository.repo import DataRepository
-from repro.selectors.tuple_ratio import tr_filter, tuple_ratio
+from repro.repository.repo import Scenario
+from repro.selectors.tuple_ratio import tuple_ratio, tuple_ratios
 
 
 def _cand(name, score, nf):
@@ -67,10 +68,12 @@ class TestTupleRatio:
         big_dom = spark.createDataFrame(pd.DataFrame({"k": range(100), "v": [0.0] * 100}))
         small_dom = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "v": [0.0, 0.0]}))
         cands = [_cand("big", 1, 1), _cand("small", 1, 1)]
-        dec = tr_filter(50, cands, {"big": big_dom, "small": small_dom}, tau=5.0)
-        by = {d.name: d for d in dec}
-        assert by["big"].keep          # TR = 0.5 <= 5
-        assert not by["small"].keep    # TR = 25 > 5
+        repo = {"big": big_dom, "small": small_dom}
+        ratios = tuple_ratios(50, cands, repo)
+        assert ratios == pytest.approx({"big": 0.5, "small": 25.0})
+        base = spark.createDataFrame(pd.DataFrame({"k": range(50), "y": [0.0] * 50}))
+        sc = Scenario("tr", "reg", base, "y", repo, cands)
+        assert tr_kept_tables(sc, tau=5.0) == {"big"}  # TR 0.5 <= 5 < 25
 
     def test_composite_key_domain(self, spark):
         f = spark.createDataFrame(pd.DataFrame({
@@ -86,13 +89,14 @@ class TestDiscovery:
             "name": ["a", "b", "c", "d", "e"],
             "val": [0.1, 0.2, 0.3, 0.4, 0.5],
         }))
-        repo = DataRepository()
-        repo.add("good", spark.createDataFrame(pd.DataFrame(
-            {"id": [1, 2, 3, 4], "f": [1.0, 2.0, 3.0, 4.0]})))
-        repo.add("partial", spark.createDataFrame(pd.DataFrame(
-            {"key": [1, 9, 8], "f": [1.0, 2.0, 3.0]})))
-        repo.add("unrelated", spark.createDataFrame(pd.DataFrame(
-            {"zz": [100, 200], "f": [1.0, 2.0]})))
+        repo = {
+            "good": spark.createDataFrame(pd.DataFrame(
+                {"id": [1, 2, 3, 4], "f": [1.0, 2.0, 3.0, 4.0]})),
+            "partial": spark.createDataFrame(pd.DataFrame(
+                {"key": [1, 9, 8], "f": [1.0, 2.0, 3.0]})),
+            "unrelated": spark.createDataFrame(pd.DataFrame(
+                {"zz": [100, 200], "f": [1.0, 2.0]})),
+        }
         return base, repo
 
     def test_intersection_score(self, setup):
@@ -102,53 +106,37 @@ class TestDiscovery:
 
     def test_discover_ranks_by_overlap(self, setup):
         base, repo = setup
-        cands = discover_joins(base, repo, key_cols=["id"])
+        cands = discover_joins(base, repo, ["id"])
         assert [c.table for c in cands] == ["good", "partial"]
         assert cands[0].score > cands[1].score
 
     def test_min_score_filters(self, setup):
         base, repo = setup
-        cands = discover_joins(base, repo, key_cols=["id"], min_score=0.5)
+        cands = discover_joins(base, repo, ["id"], min_score=0.5)
         assert [c.table for c in cands] == ["good"]
 
     def test_unrelated_table_not_discovered(self, setup):
         base, repo = setup
-        cands = discover_joins(base, repo, key_cols=["id"])
+        cands = discover_joins(base, repo, ["id"])
         assert all(c.table != "unrelated" for c in cands)
 
     def test_float_columns_not_probed(self, setup):
         base, repo = setup
-        cands = discover_joins(base, repo, key_cols=["val"])
+        cands = discover_joins(base, repo, ["val"])
         assert cands == []
 
     def test_time_keys_marked_soft(self, spark):
         base = spark.createDataFrame(pd.DataFrame({
             "d": pd.to_datetime(["2020-01-01", "2020-01-02"]), "x": [1.0, 2.0]}))
-        repo = DataRepository()
-        repo.add("w", spark.createDataFrame(pd.DataFrame({
+        repo = {"w": spark.createDataFrame(pd.DataFrame({
             "ts": pd.to_datetime(["2020-01-01 05:00", "2020-01-02 07:00"]),
-            "temp": [1.0, 2.0]})))
-        cands = discover_joins(base, repo, key_cols=["d"])
-        assert len(cands) == 1 and cands[0].soft
+            "temp": [1.0, 2.0]}))}
+        cands = discover_joins(base, repo, ["d"])
+        assert len(cands) == 1 and cands[0].soft == "two_way"
         assert cands[0].score == pytest.approx(1.0)
 
     def test_n_features_excludes_key(self, setup):
         base, repo = setup
-        cands = discover_joins(base, repo, key_cols=["id"])
+        cands = discover_joins(base, repo, ["id"])
         assert cands[0].n_features == 1
 
-
-class TestRepository:
-    def test_add_and_lookup(self, spark):
-        repo = DataRepository()
-        df = spark.createDataFrame(pd.DataFrame({"a": [1]}))
-        repo.add("t", df)
-        assert "t" in repo and repo["t"] is df
-        assert repo.names() == ["t"]
-
-    def test_duplicate_add_raises(self, spark):
-        repo = DataRepository()
-        df = spark.createDataFrame(pd.DataFrame({"a": [1]}))
-        repo.add("t", df)
-        with pytest.raises(KeyError):
-            repo.add("t", df)
