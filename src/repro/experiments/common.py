@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import pandas as pd
 
-from repro.core.arda import (ArdaConfig, Batch, _union_batch, final_estimate,
+from repro.core.arda import (ArdaConfig, final_estimate, final_matrix,
                              prepare_batches, run_selector, tr_kept_tables)
 from repro.ml.automl import automl_best_score
 from repro.repository import datasets
@@ -26,11 +26,10 @@ from repro.repository.repo import Scenario
 from repro.selectors import applicable
 
 __all__ = ["broadcast_joins", "make_cfg", "scenario_sizes", "load",
-           "REG_SELECTORS", "CLS_SELECTORS", "selector_list", "run_method",
-           "score_grid", "run_table", "save_table", "tr_standalone",
-           "automl_rows"]
+           "REG_SELECTORS", "CLS_SELECTORS", "selector_list", "method_rows",
+           "score_grid", "run_table", "save_table"]
 
-# Paper Table 1 / Table 6 method rows (ours; AutoML rows handled separately)
+# Paper Table 1 / Table 6 selector rows (``method_rows`` adds the rest)
 _METHODS = ["rifs", "backward_selection", "forward_selection", "rfe",
             "sparse_regression", "random_forest", "f_test", "mutual_info",
             "relief", "lasso", "linear_svc", "logistic_reg"]
@@ -116,9 +115,9 @@ class MethodResult:
     method: str
     metric: float  # accuracy in [0,1] or raw MAE
     time_s: float
-    n_selected: int = 0
-    n_tables: int = 0
-    kept: list | None = None  # kept augmented feature names (not serialized)
+    n_selected: int
+    n_tables: int
+    kept: list  # kept augmented feature names (not serialized)
 
     def row(self) -> dict:
         d = vars(self).copy()
@@ -126,15 +125,44 @@ class MethodResult:
         return d
 
 
-def run_method(spark, scenario: Scenario, batches: list[Batch],
-               selector: str, cfg: ArdaConfig) -> MethodResult:
-    """One Table-1/6 row: selection + final estimate, timed together
-    (the paper's time column is 'feature selection and evaluation time')."""
-    t0 = time.perf_counter()
-    kept, _, _ = run_selector(batches, selector, scenario.task, cfg)
-    score, n_tables = final_estimate(spark, scenario, kept, cfg)
-    return MethodResult(scenario.name, selector, score,
-                        time.perf_counter() - t0, len(kept), n_tables, kept)
+# AutoML rows: the selection whose final matrix the search trains on
+_AUTOML_DATA = {"automl_base": "baseline", "automl_all": "all_features"}
+
+
+def method_rows(spark, scenario: Scenario, cfg: ArdaConfig,
+                selectors: list[str], tau: float | None) -> list[MethodResult]:
+    """The Table-1/6 rows of one scenario: baseline, all_features, the
+    AutoML rows on those two matrices, the TR rule at ``tau`` (skipped when
+    None), then every selector.
+
+    Every row trains on the full joined base, and one clock times its
+    selection and estimate (the paper's 'feature selection and evaluation
+    time'); preparing the shared batches is not part of any row.
+    """
+    batches, _ = prepare_batches(spark, scenario, cfg)
+    methods = ["baseline", "all_features", *_AUTOML_DATA]
+    methods += ([] if tau is None else ["tr_rule"]) + selectors
+    rows = []
+    for method in methods:
+        t0 = time.perf_counter()
+        if method == "tr_rule":  # every feature of the tables the rule keeps
+            keep_tables = tr_kept_tables(scenario, tau)
+            kept = [b.names[j] for b in batches for j in b.aug_idx
+                    if b.col_tables[j] in keep_tables]
+        else:
+            kept, _, _ = run_selector(batches, _AUTOML_DATA.get(method, method),
+                                      scenario.task, cfg)
+        if method in _AUTOML_DATA:
+            X, y, _, col_tables = final_matrix(scenario, kept, cfg.seed)
+            score = automl_best_score(X, y, scenario.task, cfg.seed)
+            metric = score if scenario.task == "cls" else -score
+            n_tables = len(set(col_tables) - {None})
+        else:
+            metric, n_tables = final_estimate(spark, scenario, kept, cfg)
+        rows.append(MethodResult(scenario.name, method, metric,
+                                 time.perf_counter() - t0, len(kept), n_tables,
+                                 kept))
+    return rows
 
 
 def score_grid(spark, scenario: Scenario, quick: bool, variants: dict[str, dict],
@@ -146,42 +174,11 @@ def score_grid(spark, scenario: Scenario, quick: bool, variants: dict[str, dict]
     for variant, overrides in variants.items():
         cfg = make_cfg(quick, **overrides)
         batches, _ = prepare_batches(spark, scenario, cfg)
-        grid[variant] = {sel: run_method(spark, scenario, batches, sel, cfg).metric
-                         for sel in selectors}
+        grid[variant] = {}
+        for sel in selectors:
+            kept, _, _ = run_selector(batches, sel, scenario.task, cfg)
+            grid[variant][sel], _ = final_estimate(spark, scenario, kept, cfg)
     return grid
-
-
-def tr_standalone(spark, scenario: Scenario, batches: list[Batch],
-                  cfg: ArdaConfig, tau: float) -> MethodResult:
-    """Paper's 'TR rule' row: keep every augmented feature of the prepared
-    ``batches`` whose table passes the rule; no feature selection."""
-    t0 = time.perf_counter()
-    keep_tables = tr_kept_tables(scenario, tau)
-    kept = [b.names[j] for b in batches for j in b.aug_idx
-            if b.col_tables[j] in keep_tables]
-    score, n_tables = final_estimate(spark, scenario, kept, cfg)
-    return MethodResult(scenario.name, "tr_rule", score,
-                        time.perf_counter() - t0, len(kept), n_tables, kept)
-
-
-def automl_rows(spark, scenario: Scenario, batches: list[Batch],
-                cfg: ArdaConfig, budget_s: float = 20.0) -> list[MethodResult]:
-    """AutoML comparator rows (DESIGN.md §2 substitute for Azure AutoML /
-    Alpine Meadow): budgeted random search on (a) base features only and
-    (b) the fully augmented feature set."""
-    out = []
-    b0 = batches[0]
-    all_aug = [b.names[j] for b in batches for j in b.aug_idx]
-    for tag, X, y in [
-        ("automl_base", b0.X[:, b0.base_idx], b0.y),
-        ("automl_all", _union_batch(batches, all_aug).X, b0.y),
-    ]:
-        t0 = time.perf_counter()
-        res = automl_best_score(X, y, scenario.task, budget_s=budget_s, seed=cfg.seed)
-        metric = res.score if scenario.task == "cls" else -res.score
-        out.append(MethodResult(scenario.name, tag, metric,
-                                time.perf_counter() - t0, X.shape[1], 0))
-    return out
 
 
 def run_table(spark, table: str, names: list[str], quick: bool, rows_fn,

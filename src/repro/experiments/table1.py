@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.core.arda import prepare_batches
-from repro.experiments.common import (automl_rows, make_cfg, run_method,
-                                      run_table, selector_list, tr_standalone)
+from repro.experiments.common import make_cfg, method_rows, run_table, selector_list
 
 DATASETS = ["taxi", "pickup", "poverty", "school_s", "school_l"]
 # TR standalone threshold per dataset (Table 4 tunes tau per dataset; at
@@ -22,17 +20,9 @@ TR_TAU = {"taxi": 5.0, "pickup": 2.0, "poverty": 1.5,
 
 
 def _rows(spark, scenario, quick: bool) -> list[dict]:
-    cfg = make_cfg(quick)
-    batches, _ = prepare_batches(spark, scenario, cfg)
-    rows = [run_method(spark, scenario, batches, "baseline", cfg).row(),
-            run_method(spark, scenario, batches, "all_features", cfg).row()]
-    for r in automl_rows(spark, scenario, batches, cfg, budget_s=5 if quick else 20):
-        rows.append(r.row())
-    rows.append(tr_standalone(spark, scenario, batches, cfg,
-                             TR_TAU[scenario.name]).row())
-    for sel in selector_list(scenario.task):
-        rows.append(run_method(spark, scenario, batches, sel, cfg).row())
-    return rows
+    return [r.row() for r in method_rows(spark, scenario, make_cfg(quick),
+                                         selector_list(scenario.task),
+                                         TR_TAU[scenario.name])]
 
 
 def run(spark, quick: bool = False, only: list[str] | None = None) -> pd.DataFrame:

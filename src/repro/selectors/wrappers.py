@@ -23,8 +23,7 @@ _MIN_FEATURES = 2  # backward elimination and RFE never go below this
 
 
 def forward_selection(ev: Evaluator, max_features: int = 24,
-                      candidate_pool: int | None = 64,
-                      seed: int = 0) -> np.ndarray:
+                      candidate_pool: int | None = 64) -> np.ndarray:
     """Greedy add; stop after ``_PATIENCE`` consecutive non-improving adds.
 
     ``candidate_pool`` pre-truncates the search to the top-N RF-ranked
@@ -35,7 +34,7 @@ def forward_selection(ev: Evaluator, max_features: int = 24,
     """
     d = ev.X.shape[1]
     if candidate_pool is not None and d > candidate_pool:
-        imp = random_forest_scores(ev.X, ev.y, ev.task, seed)
+        imp = random_forest_scores(ev.X, ev.y, ev.task, ev.seed)
         remaining = list(np.argsort(imp)[::-1][:candidate_pool])
     else:
         remaining = list(range(d))
@@ -55,15 +54,14 @@ def forward_selection(ev: Evaluator, max_features: int = 24,
     return np.array(sorted(best_set), dtype=int)
 
 
-def backward_elimination(ev: Evaluator, max_rounds: int = 12,
-                         seed: int = 0) -> np.ndarray:
+def backward_elimination(ev: Evaluator, max_rounds: int = 12) -> np.ndarray:
     """Greedy remove, starting from the top-``_MAX_START`` RF-ranked features
     (a full backward pass over hundreds of features is quadratic in model
     fits; the paper's own runtimes show this is the most expensive method).
     ``max_rounds`` bounds the elimination rounds at container scale."""
     d = ev.X.shape[1]
     if d > _MAX_START:
-        imp = random_forest_scores(ev.X, ev.y, ev.task, seed)
+        imp = random_forest_scores(ev.X, ev.y, ev.task, ev.seed)
         current = list(np.argsort(imp)[::-1][:_MAX_START])
     else:
         current = list(range(d))
@@ -81,7 +79,7 @@ def backward_elimination(ev: Evaluator, max_rounds: int = 12,
     return np.array(sorted(best_set), dtype=int)
 
 
-def rfe(ev: Evaluator, seed: int = 0) -> np.ndarray:
+def rfe(ev: Evaluator) -> np.ndarray:
     """Recursive feature elimination: refit the RF ranker on the surviving
     set, drop the weakest ``_DROP_FRAC``, keep the best holdout subset."""
     current = np.arange(ev.X.shape[1])
@@ -92,7 +90,7 @@ def rfe(ev: Evaluator, seed: int = 0) -> np.ndarray:
             best_total, best_set = s, current.copy()
         if len(current) == _MIN_FEATURES:
             break
-        imp = random_forest_scores(ev.X[:, current], ev.y, ev.task, seed)
+        imp = random_forest_scores(ev.X[:, current], ev.y, ev.task, ev.seed)
         keep = max(_MIN_FEATURES, int(len(current) * (1 - _DROP_FRAC)))
         current = current[np.argsort(imp)[::-1][:keep]]
     return np.sort(best_set).astype(int)

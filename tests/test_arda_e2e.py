@@ -270,7 +270,7 @@ class TestProvenance:
         stamp = {f"stamp__{part}" for part in ("epoch", "month", "dow", "hour")}
         assert {b.names[j] for j in b.base_idx} == stamp | {"x"}
         assert {b.names[j] for j in b.aug_idx} == {"stamp__v"}
-        _, _, names, tables = arda._final_matrix(sc, ["stamp__v"], cfg.seed)
+        _, _, names, tables = arda.final_matrix(sc, ["stamp__v"], cfg.seed)
         assert stamp | {"x", "stamp__v"} == set(names)
         assert dict(zip(names, tables))["stamp__v"] == "stamp"
         assert all(dict(zip(names, tables))[nm] is None for nm in stamp)

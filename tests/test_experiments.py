@@ -7,7 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.arda import prepare_batches
+from repro.core.arda import final_matrix
 from repro.experiments import common, table1, table2, table3, table4, table5, table6
 from repro.selectors.tuple_ratio import tuple_ratios
 
@@ -58,21 +58,23 @@ class TestHelpers:
         p = common.save_table(pd.DataFrame({"a": [1]}), "unit")
         assert pd.read_csv(p)["a"].tolist() == [1]
 
-    def test_tr_rule_keeps_categorical_features(self, spark):
+    def test_tr_rule_keeps_categorical_features(self, spark, monkeypatch):
+        monkeypatch.setattr(common, "automl_best_score", lambda X, y, task, seed: 0.0)
         sc = common.load(spark, "taxi", quick=True)
         cfg = common.make_cfg(True)
-        batches, _ = prepare_batches(spark, sc, cfg)
         tau = table1.TR_TAU["taxi"]
-        res = common.tr_standalone(spark, sc, batches, cfg, tau)
+        rows = common.method_rows(spark, sc, cfg, [], tau)
+        res = next(r for r in rows if r.method == "tr_rule")
         ratios = tuple_ratios(sc.base.count(), sc.candidates, sc.repo)
         passing = {t for t, r in ratios.items() if r <= tau}
-        table_of = {b.names[j]: b.col_tables[j] for b in batches for j in b.aug_idx}
+        _, _, names, tables = final_matrix(sc, res.kept, cfg.seed)
+        table_of = dict(zip(names, tables))
         onehot = [nm for nm in res.kept if "==" in nm]
         assert onehot and {table_of[nm] for nm in onehot} <= passing
         assert {table_of[nm] for nm in res.kept} == passing
 
     def test_method_result_row_drops_kept(self):
-        r = common.MethodResult("d", "m", 0.5, 1.0, kept=["x"])
+        r = common.MethodResult("d", "m", 0.5, 1.0, 1, 1, kept=["x"])
         assert "kept" not in r.row()
 
 
@@ -87,6 +89,26 @@ class TestRunsQuick:
         assert by.loc["rifs", "metric"] > by.loc["baseline", "metric"]
         assert by.loc["rifs", "n_noise_kept"] <= by.loc["rifs", "n_selected"]
         assert {"baseline", "all_features", "automl_base", "automl_all"} <= set(df["method"])
+
+    def test_table1_rows_taxi(self, spark, monkeypatch):
+        # every row, AutoML included, trains on the full joined base
+        seen_rows = []
+
+        def record(X, y, task, seed):
+            seen_rows.append(X.shape[0])
+            return 0.0
+
+        monkeypatch.setattr(common, "automl_best_score", record)
+        sc = common.load(spark, "taxi", quick=True)
+        n_base = sc.base.count()
+        cfg = common.make_cfg(True, coreset_size=100)
+        rows = common.method_rows(spark, sc, cfg, ["f_test"], table1.TR_TAU["taxi"])
+        by = {r.method: r for r in rows}
+        assert list(by) == ["baseline", "all_features", "automl_base",
+                            "automl_all", "tr_rule", "f_test"]
+        assert (by["automl_all"].n_selected, by["automl_all"].n_tables) == \
+            (by["all_features"].n_selected, by["all_features"].n_tables)
+        assert n_base == 180 and seen_rows == [n_base, n_base]
 
     def test_table2_kraken(self, spark, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
