@@ -4,9 +4,10 @@ Stages, matching Figure 1: join plan -> joins -> coreset -> feature
 selection (per batch) -> final estimate.
 
 Every join is a LEFT join onto a pre-aggregated, many-to-one table (§4),
-so a base row gets the same joined values on a coreset as on the full
-base. Each candidate table is therefore joined once per scenario and
-seed, onto the full base, and imputed with full-base statistics
+so a base row's joined values depend only on its key tuple. Each
+candidate table is therefore joined once per scenario and seed, onto the
+distinct key tuples of the base, and attached to the base rows by key;
+the collected rows are imputed with full-base statistics
 (``AugmentedTable``, cached on the ``Scenario``). A coreset is a row
 sample of that table, encoded once; a batch is a column slice of that
 matrix, and the final matrix an encoded column projection of the table.
@@ -56,7 +57,6 @@ from repro.repository.repo import Scenario
 __all__ = ["ArdaConfig", "prepare_batches", "run_selector", "final_estimate",
            "final_matrix", "Batch", "AugmentedTable", "tr_kept_tables"]
 
-_CHECKPOINT_EVERY = 8  # truncate join lineage on long batch chains
 _ROW_ID = "__row_id"
 _EVAL_DEPTH = 8
 # Wrapper methods fit the eval model hundreds of times per batch; they get
@@ -97,9 +97,11 @@ class Batch:
 class AugmentedTable:
     """The full base with candidate tables LEFT-joined and imputed.
 
-    ``frame`` is collected into pandas, indexed by ``__row_id`` (the base
-    row order); ``source`` maps every joined raw column to its table and is
-    the only record of provenance — base columns are absent from it.
+    ``frame`` is a pandas frame, one row per base row, indexed by
+    ``__row_id`` (the base row order): the collected base plus each
+    table's columns, attached by key and imputed over these rows.
+    ``source`` maps every joined raw column to its table and is the only
+    record of provenance — base columns are absent from it.
     """
 
     seed: int
@@ -125,18 +127,22 @@ def _with_row_id(base: DataFrame, cols: list[str]) -> DataFrame:
     The id depends only on the base's partition layout, which a projection
     keeps, so every call numbers the rows alike and in the base's collect
     order. Projecting first keeps the id cheap on wide local tables, where
-    Spark evaluates it eagerly, on all rows, for every query. The result
-    is not checkpointed: a checkpoint re-partitions a local table and
-    would change the coreset's rand().
+    Spark evaluates it eagerly, on all rows, for every query.
     """
     return base.select(*cols).withColumn(_ROW_ID, F.monotonically_increasing_id())
 
 
 def _augment(scenario: Scenario, cands: list[CandidateJoin],
              seed: int) -> AugmentedTable:
-    """Join every candidate in ``cands`` not joined yet onto the full base,
-    impute the new columns, and add them to the scenario's cached table
-    (rebuilt when ``seed`` changes). Returns the cached table."""
+    """Join every candidate in ``cands`` not joined yet, impute the new
+    columns over the base rows, and add them to the scenario's cached
+    table (rebuilt when ``seed`` changes). Returns the cached table.
+
+    A candidate joins onto the distinct tuples of its base keys, a plan one
+    join deep, and the collected result is attached to the base rows by key
+    (pandas matches NULL keys, as ``eqNullSafe`` does): a many-to-one LEFT
+    join gives a row exactly what its key tuple gets.
+    """
     aug = scenario.augmented
     if aug is None or aug.seed != seed:
         # Two queries, not one over every column plus the id: on a wide
@@ -148,21 +154,15 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     new = [c for c in cands if c.table not in aug.tables]
     if not new:
         return aug
-    keys = list(dict.fromkeys(k for cand in new for k in cand.base_keys))
-    df, source = _with_row_id(scenario.base, keys), {}
-    for i, cand in enumerate(new):
-        before = set(df.columns)
-        df = join_candidate(df, cand, scenario.repo[cand.table], seed=seed)
-        source.update(dict.fromkeys([c for c in df.columns if c not in before],
-                                    cand.table))
-        if (i + 1) % _CHECKPOINT_EVERY == 0:
-            df = df.localCheckpoint(eager=True)
-    # Truncate the N-join lineage before imputation: it runs several jobs
-    # over the result and would otherwise re-execute the join chain.
-    df = impute(df.localCheckpoint(eager=True), cols=list(source), seed=seed)
-    joined = df.select(_ROW_ID, *source).toPandas().set_index(_ROW_ID)
-    aug.frame = aug.frame.join(joined)
-    aug.source.update(source)
+    parts = []
+    for cand in new:
+        keys = cand.base_keys
+        part = join_candidate(scenario.base.select(*keys).distinct(), cand,
+                              scenario.repo[cand.table], seed=seed).toPandas()
+        parts.append(aug.frame[keys].join(part.set_index(keys), on=keys,
+                                          validate="m:1").drop(columns=keys))
+    aug.frame = aug.frame.join(impute(pd.concat(parts, axis=1), seed=seed))
+    aug.source.update({c: cand.table for cand, p in zip(new, parts) for c in p})
     aug.tables.update(c.table for c in new)
     return aug
 

@@ -20,8 +20,8 @@ from pyspark.sql import types as T
 
 __all__ = ["preaggregate", "left_join", "prefix_columns", "NUMERIC_TYPES"]
 
-# Spark types treated as numeric: mean (not min) pre-aggregation here,
-# interpolation in two-way soft joins, median imputation.
+# Spark types treated as numeric: mean (not min) pre-aggregation here and
+# interpolation in two-way soft joins.
 NUMERIC_TYPES = (T.IntegerType, T.LongType, T.FloatType, T.DoubleType,
                  T.ShortType, T.ByteType, T.DecimalType)
 

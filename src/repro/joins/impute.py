@@ -2,54 +2,53 @@
 
 LEFT JOIN semantics leave NULLs wherever a base row found no match; the
 paper fills numerics with the column median and categoricals with a
-uniformly random sample from the column's observed values. Medians come
-from ``percentile_approx`` and categorical domains from a distinct scan —
-both distributed; the random pick is a seeded ``rand()`` indexing into
-the (small) collected domain.
+uniformly random sample from the column's observed values. The joined
+columns are collected into pandas, one row per base row in base order,
+before they are imputed: a statistic counts a key once per row that
+carries it, and a fill depends only on its column's values, the row's
+position and the seed — never on how the join that made the column ran.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
-
-from repro.joins.executor import NUMERIC_TYPES
+import numpy as np
+import pandas as pd
+from pandas.api import types as ptypes
 
 __all__ = ["impute"]
 
 _MAX_CAT_DOMAIN = 200
 
 
-def impute(df: DataFrame, cols: list[str] | None = None, seed: int = 0) -> DataFrame:
-    """Fill NULLs: numeric -> median, string/bool -> uniform random observed
-    value (or a constant fallback when a column is entirely NULL)."""
-    target = set(cols) if cols is not None else {f.name for f in df.schema.fields}
-    num_cols = [f.name for f in df.schema.fields
-                if f.name in target and isinstance(f.dataType, NUMERIC_TYPES)]
-    cat_cols = [f.name for f in df.schema.fields
-                if f.name in target and isinstance(f.dataType, (T.StringType, T.BooleanType))]
-    if not num_cols and not cat_cols:
-        return df
-    # One aggregation pass computes every median and every (capped)
-    # categorical domain, so imputation costs a single Spark job however
-    # many columns need filling.
-    aggs = [F.percentile_approx(F.col(c), 0.5).alias(f"__med_{i}")
-            for i, c in enumerate(num_cols)]
-    aggs += [F.slice(F.collect_set(F.col(c)), 1, _MAX_CAT_DOMAIN).alias(f"__dom_{i}")
-             for i, c in enumerate(cat_cols)]
-    row = df.agg(*aggs).collect()[0]
-    out = df
-    med = {c: (0.0 if row[f"__med_{i}"] is None else float(row[f"__med_{i}"]))
-           for i, c in enumerate(num_cols)}
-    if med:
-        out = out.fillna(med)
-    for i, c in enumerate(cat_cols):
-        vals = row[f"__dom_{i}"] or []
-        if not vals:
-            fallback = False if isinstance(df.schema[c].dataType, T.BooleanType) else "__missing__"
-            out = out.fillna({c: fallback})
+def impute(df: pd.DataFrame, cols: list[str] | None = None, seed: int = 0
+           ) -> pd.DataFrame:
+    """Fill NULLs: numeric -> lower median, string/bool -> uniform random
+    pick from the first observed values (or a constant fallback when a
+    column is entirely NULL). Returns a new frame.
+
+    Row ``i`` of every column draws the same uniform, the ``i``-th of
+    ``default_rng(seed)``, so filling one column never shifts another's.
+    """
+    u = np.random.default_rng(seed).random(len(df))
+    filled = {}
+    for c in df.columns if cols is None else cols:
+        col = df[c]
+        miss = col.isna().to_numpy()
+        if not miss.any():
             continue
-        arr = F.array(*[F.lit(v) for v in vals])
-        pick = arr[(F.floor(F.rand(seed) * len(vals))).cast("int")]
-        out = out.withColumn(c, F.coalesce(F.col(c), pick))
-    return out
+        seen = col[~miss]
+        is_bool = ptypes.is_bool_dtype(col)
+        if ptypes.is_numeric_dtype(col) and not is_bool:
+            fill = (np.quantile(seen.to_numpy(float), 0.5, method="inverted_cdf")
+                    if len(seen) else 0.0)
+        elif is_bool or ptypes.is_object_dtype(col) or ptypes.is_string_dtype(col):
+            domain = pd.unique(seen)[:_MAX_CAT_DOMAIN]
+            if len(domain):
+                fill = domain[(u[miss] * len(domain)).astype(int)]
+            else:
+                fill = False if is_bool else "__missing__"
+        else:
+            continue
+        col = col.copy()
+        col[miss] = fill
+        filled[c] = col.infer_objects()  # Spark booleans with NULLs arrive as objects
+    return df.assign(**filled)

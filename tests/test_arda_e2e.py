@@ -286,3 +286,75 @@ class TestProvenance:
         prepare_batches(spark, sc, cfg)
         with pytest.raises(ValueError, match="prepare_batches"):
             final_estimate(spark, sc, ["stamp__v", "stamp__w"], cfg)
+
+
+def _keyed_scenario(spark, base: pd.DataFrame, tables: dict[str, tuple[str, pd.DataFrame]]
+                    ) -> Scenario:
+    """A regression scenario whose tables are hard-joined, each on one key:
+    ``tables`` maps a name to (key column, table)."""
+    repo = {name: spark.createDataFrame(pdf) for name, (_, pdf) in tables.items()}
+    cands = [CandidateJoin(table=name, base_keys=[key], foreign_keys=[key])
+             for name, (key, _) in tables.items()]
+    return Scenario(name="keyed", task="reg", base=spark.createDataFrame(base),
+                    target="y", repo=repo, candidates=cands)
+
+
+def _half_covered_scenario(spark) -> Scenario:
+    """Two tables on different keys, each covering half its key domain, so
+    the LEFT join leaves NULLs in both and imputation draws categoricals."""
+    rng = np.random.default_rng(0)
+    n = 200
+    base = pd.DataFrame({"k1": rng.integers(0, 20, n), "k2": rng.integers(0, 20, n),
+                         "x": rng.normal(size=n)})
+    base["y"] = base["x"] + rng.normal(size=n)
+    keys = np.arange(0, 20, 2)
+    return _keyed_scenario(spark, base, {
+        t: (k, pd.DataFrame({k: keys, "c": rng.choice(list("pqrs"), len(keys)),
+                             "v": rng.normal(size=len(keys))}))
+        for t, k in (("ta", "k1"), ("tb", "k2"))})
+
+
+class TestFlatJoins:
+    def test_each_join_sees_only_distinct_keys(self, spark, monkeypatch):
+        # every candidate joins onto the distinct tuples of its own base
+        # keys, never onto a frame carrying earlier tables' columns
+        sc = datasets.taxi(spark, n_days=30, n_zones=2)
+        seen = []
+        join = arda.join_candidate
+
+        def recorded_join(df, cand, *a, **kw):
+            seen.append((df, cand))
+            return join(df, cand, *a, **kw)
+
+        monkeypatch.setattr(arda, "join_candidate", recorded_join)
+        arda._augment(sc, sc.candidates, seed=0)
+        assert len(seen) == len(sc.candidates)
+        for df, cand in seen:
+            assert df.columns == cand.base_keys
+            assert not df.toPandas().duplicated().any()
+
+    def test_null_and_unmatched_keys_per_row(self, spark):
+        # a NULL key matches the foreign NULL key; an unmatched row gets the
+        # median over base rows (10: key "a" holds three of five matched
+        # rows), not over keys (20)
+        base = pd.DataFrame({"k": ["a", "a", "a", "b", None, "d"],
+                             "k2": ["p", "p", "p", "q", None, "s"],
+                             "x": np.arange(6.0), "y": np.arange(6.0)})
+        v = [10.0, 20.0, 30.0, 99.0]
+        sc = _keyed_scenario(spark, base, {
+            "f": ("k", pd.DataFrame({"k": ["a", "b", None, "z"], "v": v})),
+            "g": ("k2", pd.DataFrame({"k2": ["p", "q", None, "w"], "v": v}))})
+        frame = arda._augment(sc, sc.candidates, seed=0).frame
+        for col in ("f__v", "g__v"):
+            assert frame[col].tolist() == [10.0, 10.0, 10.0, 20.0, 30.0, 10.0]
+
+    def test_fill_independent_of_other_tables(self, spark):
+        # a table's imputed columns are the same whether or not another
+        # table, on another key, was joined in the same pass
+        sc = _half_covered_scenario(spark)
+        both = arda._augment(sc, sc.candidates, seed=0)
+        sc = _half_covered_scenario(spark)
+        alone = arda._augment(sc, sc.candidates[1:], seed=0)
+        cols = ["tb__c", "tb__v"]
+        assert both.frame[cols].isna().sum().sum() == 0
+        pd.testing.assert_frame_equal(both.frame[cols], alone.frame[cols])
