@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.rifs import rifs_fractions, rifs_select
 from repro.core.search import exponential_search
@@ -57,7 +56,6 @@ from repro.repository.repo import Scenario
 __all__ = ["ArdaConfig", "prepare_batches", "run_selector", "final_estimate",
            "final_matrix", "Batch", "AugmentedTable", "tr_kept_tables"]
 
-_ROW_ID = "__row_id"
 _EVAL_DEPTH = 8
 # Wrapper methods fit the eval model hundreds of times per batch; they get
 # a lighter forest (the paper's point is their cost ORDER, which a cheaper
@@ -97,9 +95,9 @@ class Batch:
 class AugmentedTable:
     """The full base with candidate tables LEFT-joined and imputed.
 
-    ``frame`` is a pandas frame, one row per base row, indexed by
-    ``__row_id`` (the base row order): the collected base plus each
-    table's columns, attached by key and imputed over these rows.
+    ``frame`` is a pandas frame whose row ``i`` is base row ``i`` (the
+    base's collect order): the collected base plus each table's columns,
+    attached by key and imputed over these rows.
     ``source`` maps every joined raw column to its table and is the only
     record of provenance — base columns are absent from it.
     """
@@ -121,17 +119,6 @@ def join_candidate(df: DataFrame, cand: CandidateJoin, foreign: DataFrame,
     return left_join(df, foreign, cand.base_keys, cand.foreign_keys, cand.table)
 
 
-def _with_row_id(base: DataFrame, cols: list[str]) -> DataFrame:
-    """``cols`` of the base plus ``__row_id``, the key of the joined table.
-
-    The id depends only on the base's partition layout, which a projection
-    keeps, so every call numbers the rows alike and in the base's collect
-    order. Projecting first keeps the id cheap on wide local tables, where
-    Spark evaluates it eagerly, on all rows, for every query.
-    """
-    return base.select(*cols).withColumn(_ROW_ID, F.monotonically_increasing_id())
-
-
 def _augment(scenario: Scenario, cands: list[CandidateJoin],
              seed: int) -> AugmentedTable:
     """Join every candidate in ``cands`` not joined yet, impute the new
@@ -145,12 +132,7 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     """
     aug = scenario.augmented
     if aug is None or aug.seed != seed:
-        # Two queries, not one over every column plus the id: on a wide
-        # local base Spark evaluates that projection eagerly, 0.73 s on
-        # Kraken's 221 columns against 0.18 s for these two (4 cores).
-        ids = [r[0] for r in _with_row_id(scenario.base, []).collect()]
-        frame = scenario.base.toPandas().set_axis(pd.Index(ids, name=_ROW_ID))
-        aug = scenario.augmented = AugmentedTable(seed, frame)
+        aug = scenario.augmented = AugmentedTable(seed, scenario.base.toPandas())
     new = [c for c in cands if c.table not in aug.tables]
     if not new:
         return aug
@@ -168,10 +150,10 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
 
 
 def _encode(scenario: Scenario, aug: AugmentedTable, tables: set[str],
-            row_ids: list[int] | None = None
+            rows: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray, list[str], list[str | None], np.ndarray]:
     """Encode the base columns (keys dropped) plus the joined columns of
-    ``tables``, for ``row_ids`` in that order (every row by default).
+    ``tables``, for the row positions ``rows`` (every row by default).
 
     Returns ``(X, y, names, col_tables, is_base)``: ``col_tables[j]`` is
     the table feature ``j`` was joined from (None for the base), and
@@ -183,8 +165,8 @@ def _encode(scenario: Scenario, aug: AugmentedTable, tables: set[str],
     keys = set(scenario.key_cols)
     cols = [c for c in aug.frame.columns if c not in keys
             and (c not in aug.source or aug.source[c] in tables)]
-    rows = aug.frame if row_ids is None else aug.frame.loc[row_ids]
-    X, y, names, sources = assemble(rows[cols].reset_index(drop=True),
+    frame = aug.frame if rows is None else aug.frame.take(rows)
+    X, y, names, sources = assemble(frame[cols].reset_index(drop=True),
                                     scenario.target, scenario.task)
     col_tables = [aug.source.get(src) for src in sources]
     keep = scenario.base_feature_cols
@@ -217,23 +199,21 @@ def prepare_batches(spark: SparkSession, scenario: Scenario, cfg: ArdaConfig
 
     cands = [cand for batch in plan for cand in batch]
     aug = _augment(scenario, cands, cfg.seed)
-    label = scenario.target if scenario.task == "cls" else None
-    coreset = build_coreset(_with_row_id(scenario.base, [label] if label else []),
-                            size, cfg.coreset_method, label_col=label, seed=cfg.seed)
-    # Every batch matrix shares this row order, so the cross-batch pruning
-    # pass can hstack kept columns from different batches.
-    row_ids = [r[0] for r in coreset.select(_ROW_ID).collect()]
-    if not row_ids:
+    labels = aug.frame[scenario.target].to_numpy() if scenario.task == "cls" else None
+    # Every batch matrix shares these rows, so the cross-batch pruning pass
+    # can hstack kept columns from different batches.
+    rows = build_coreset(len(aug.frame), size, cfg.coreset_method,
+                         labels=labels, seed=cfg.seed)
+    if not len(rows):
         raise ValueError(f"empty coreset for scenario {scenario.name!r} "
                          f"(coreset_size={size}): the base table has no rows")
     # Encoding is per column and a sketch mixes only rows, so the plan's
     # tables are encoded (and sketched) once and each batch is a column
     # slice: the base columns plus those of its own tables.
     X, y, names, col_tables, is_base = _encode(
-        scenario, aug, {cand.table for cand in cands}, row_ids)
-    if cfg.coreset_method == "sketch":
-        X, y = sketch_dataset(X, y, ell=min(size, len(y)), task=scenario.task,
-                              seed=cfg.seed)
+        scenario, aug, {cand.table for cand in cands}, rows)
+    if cfg.coreset_method == "sketch":  # every row, sketched to the coreset size
+        X, y = sketch_dataset(X, y, ell=size, task=scenario.task, seed=cfg.seed)
     batches: list[Batch] = []
     for batch in plan:
         tables = {cand.table for cand in batch}
@@ -306,7 +286,7 @@ def run_selector(batches: list[Batch], selector: str, task: str,
 
 def _union_batch(batches: list[Batch], kept_names: list[str]) -> Batch:
     """Base features (from batch 0) + kept augmented columns of every batch,
-    hstacked in shared row order (guaranteed by the coreset ``__row_id``)."""
+    hstacked in the coreset row order every batch shares."""
     b0 = batches[0]
     keep = set(kept_names)
     idx = [(b0, list(b0.base_idx))]

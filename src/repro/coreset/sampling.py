@@ -1,58 +1,50 @@
 """Coreset construction by row sampling (paper §3.1).
 
-* ``uniform_sample`` — order by a seeded ``rand()`` and take the first
-  ``size`` rows: a deterministic uniform sample without replacement,
-  expressed entirely in Catalyst.
-* ``stratified_sample`` — proportional allocation per label value via a
-  ``row_number`` window over a seeded random order within each stratum,
-  so no label is overlooked (the paper's motivation for stratification).
+``build_coreset`` draws the coreset as sorted row positions of the joined
+table, which the driver already holds:
 
-Both return exactly ``min(size, count)`` rows and are deterministic in
-``seed`` for a fixed input.
+* ``uniform`` — ``size`` positions without replacement;
+* ``stratified`` — proportional allocation per label value: each label's
+  rows are shuffled, at most ``ceil(count * size / n)`` of them enter, and
+  the ``size`` rows of smallest within-label rank / label count are kept
+  (ties broken at random), so no label is overlooked (the paper's
+  motivation for stratification);
+* ``sketch`` — every position: the sketch itself (``repro.coreset.sketch``)
+  reduces the rows after the join.
+
+Each returns ``min(size, n)`` positions (every row for ``sketch``) and is
+deterministic in ``seed``.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+import numpy as np
 
-__all__ = ["uniform_sample", "stratified_sample", "build_coreset"]
-
-
-def uniform_sample(df: DataFrame, size: int, seed: int = 0) -> DataFrame:
-    return (df.withColumn("__r", F.rand(seed))
-              .orderBy("__r").limit(size).drop("__r"))
+__all__ = ["build_coreset"]
 
 
-def stratified_sample(df: DataFrame, size: int, label_col: str,
-                      seed: int = 0) -> DataFrame:
-    n = df.count()
-    if n <= size:
-        return df
-    frac = size / n
-    w = Window.partitionBy(label_col).orderBy(F.rand(seed))
-    cnt = Window.partitionBy(label_col)
-    ranked = (df.withColumn("__rn", F.row_number().over(w))
-                .withColumn("__cnt", F.count(F.lit(1)).over(cnt)))
-    # ceil keeps at least one row per stratum; trim the overshoot by a
-    # second global pass ordered by within-stratum rank so proportions hold.
-    picked = ranked.filter(F.col("__rn") <= F.ceil(F.col("__cnt") * F.lit(frac)))
-    picked = (picked.withColumn("__key", F.col("__rn") / F.col("__cnt"))
-                    .orderBy("__key", F.rand(seed + 1)).limit(size))
-    return picked.drop("__rn", "__cnt", "__key")
-
-
-def build_coreset(df: DataFrame, size: int, method: str = "uniform",
-                  label_col: str | None = None, seed: int = 0) -> DataFrame:
-    """Dispatch on the paper's coreset methods. ``sketch`` is applied
-    post-join on the numeric matrix (see ``repro.coreset.sketch``), so the
-    pre-join coreset for it falls back to uniform — matching §3.1
-    ("ARDA sketches tables after the join is performed")."""
-    if df.count() <= size:
-        return df
-    if method in ("uniform", "sketch"):
-        return uniform_sample(df, size, seed)
-    if method == "stratified":
-        if label_col is None:
-            raise ValueError("stratified sampling needs label_col")
-        return stratified_sample(df, size, label_col, seed)
-    raise ValueError(f"unknown coreset method {method!r}")
+def build_coreset(n: int, size: int, method: str = "uniform",
+                  labels: np.ndarray | None = None, seed: int = 0) -> np.ndarray:
+    """Sorted positions, out of ``range(n)``, of the coreset rows."""
+    if method not in ("uniform", "stratified", "sketch"):
+        raise ValueError(f"unknown coreset method {method!r}")
+    if method == "stratified" and labels is None:
+        raise ValueError("stratified sampling needs labels")
+    if method == "sketch" or n <= size:
+        return np.arange(n)
+    rng = np.random.default_rng(seed)
+    if method == "uniform":
+        return np.sort(rng.choice(n, size, replace=False))
+    _, strata = np.unique(np.asarray(labels), return_inverse=True)
+    counts = np.bincount(strata)
+    # shuffle, then group by label: rank is the position within the group
+    order = rng.permutation(n)
+    order = order[np.argsort(strata[order], kind="stable")]
+    rank = np.empty(n)
+    rank[order] = np.arange(1, n + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    count = counts[strata]
+    # ceil keeps at least one row per label; the global cut by rank / count
+    # then trims the overshoot so proportions hold
+    cand = np.flatnonzero(rank <= np.ceil(count * size / n))
+    key = rank[cand] / count[cand]
+    tie = rng.random(len(cand))
+    return np.sort(cand[np.lexsort((tie, key))[:size]])

@@ -3,7 +3,8 @@
 An OSNAP matrix Pi (ell x n) has one nonzero +-1 per column (count-sketch
 with s=1); Pi A approximately preserves the column space of A — Definition
 1/2 of the paper. Because a sketch takes linear combinations of *rows*,
-it is applied after the join, on the binarized numeric matrix, and for
+it is applied after the join, to every joined row of the binarized numeric
+matrix (the embedding needs many more rows than ell), and for
 classification it is applied independently within each label so sketched
 rows keep a meaningful label (the paper's per-label sketching).
 

@@ -1,4 +1,4 @@
-"""Feature-matrix assembly: Spark/pandas DataFrame -> numpy (X, y, names).
+"""Feature-matrix assembly: pandas DataFrame -> numpy (X, y, names).
 
 ARDA "binarizes categorical features into a set of numerical features"
 (§3.1) before sketching / feature selection; this module is that step.
@@ -15,9 +15,9 @@ __all__ = ["assemble"]
 _MAX_ONEHOT = 20
 
 
-def assemble(df, target: str, task: str
+def assemble(pdf: pd.DataFrame, target: str, task: str
              ) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
-    """Collect a Spark (or accept a pandas) DataFrame and encode it.
+    """Encode a pandas DataFrame.
 
     Numerics pass through (median-imputed); categoricals one-hot encode
     their ``<= _MAX_ONEHOT`` most frequent values (rest fall into no
@@ -28,7 +28,6 @@ def assemble(df, target: str, task: str
     Returns ``(X, y, feature_names, sources)``: ``sources[j]`` is the raw
     column feature ``j`` encodes, so callers never parse feature names.
     """
-    pdf = df if isinstance(df, pd.DataFrame) else df.toPandas()
     blocks: list[np.ndarray] = []
     names: list[str] = []
     sources: list[str] = []

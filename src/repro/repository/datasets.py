@@ -29,11 +29,10 @@ would compute from the data:
 
 * every signal table covers the whole key domain (score 1.0) but is
   declared 0.93–0.99;
-* the Taxi and Pickup noise tables also cover the whole key domain but are
-  declared uniform(0.3, 0.92) and uniform(0.3, 0.94), so they rank below
-  every signal table;
-* only the partial-coverage noise tables of Poverty and School declare
-  their coverage, the share of base keys they hold, which is what
+* the Taxi noise tables also cover the whole key domain but are declared
+  uniform(0.3, 0.92), so they rank below every signal table;
+* only the partial-coverage noise tables of Pickup, Poverty and School
+  declare their coverage, the share of base keys they hold, which is what
   discovery measures.
 
 A test checks that discovery finds the declared table *set* on School (S);
@@ -219,8 +218,11 @@ def pickup(spark: SparkSession, seed: int = 1, n_hours: int = 2000) -> Scenario:
     for i in range(19):  # 19 noise tables -> 23 total
         nf = int(rng.integers(3, 8))
         tname = f"pickup_noise_{i:02d}"
-        tables[tname] = _noise_pdf(rng, hours.to_numpy(), "pickup_hour", nf, f"pn{i}")
-        cands.append(_hard_cand(tname, "pickup_hour", float(rng.uniform(0.3, 0.94)), nf))
+        # noise tables cover part of the hours, so their Tuple Ratios differ
+        cov = rng.uniform(0.4, 1.0)
+        keys = rng.choice(hours.to_numpy(), size=int(cov * n), replace=False)
+        tables[tname] = _noise_pdf(rng, np.sort(keys), "pickup_hour", nf, f"pn{i}")
+        cands.append(_hard_cand(tname, "pickup_hour", float(cov), nf))
     return _finish(spark, "pickup", "reg", base, "pickups", tables, cands,
                    {"lga_weather", "flights", "security_wait", "cab_supply"})
 

@@ -74,6 +74,46 @@ class TestPrepare:
             np.testing.assert_array_equal(b.y, union.y)
             assert b.col_tables == [union.col_tables[j] for j in cols]
 
+    def test_sketch_reduces_every_joined_row(self, spark, school, monkeypatch):
+        # the sketch maps all 600 joined rows to the coreset size, not a
+        # 300-row sample to 300 rows
+        seen = []
+        sketch = arda.sketch_dataset
+
+        def recorded_sketch(X, *a, **kw):
+            seen.append(X.shape[0])
+            return sketch(X, *a, **kw)
+
+        monkeypatch.setattr(arda, "sketch_dataset", recorded_sketch)
+        cfg = ArdaConfig(coreset_size=300, coreset_method="sketch")
+        batches, _ = prepare_batches(spark, school, cfg)
+        assert seen == [600]
+        assert abs(batches[0].X.shape[0] - 300) <= 2
+
+    def test_prepare_on_joined_scenario_runs_no_spark(self, spark, monkeypatch):
+        # once a scenario is joined, drawing another coreset runs no Spark
+        # action: the rows are positions in the collected table
+        from pyspark.sql.classic.dataframe import DataFrame
+        sc = datasets.school_s(spark, n_schools=200)
+        cfg = ArdaConfig(coreset_size=100)
+        prepare_batches(spark, sc, cfg)
+        calls = []
+        for name in ("collect", "toPandas", "count"):
+            method = getattr(DataFrame, name)
+            monkeypatch.setattr(DataFrame, name, lambda self, *a, _m=method, **kw:
+                                calls.append(1) or _m(self, *a, **kw))
+        batches, _ = prepare_batches(
+            spark, sc, dataclasses.replace(cfg, coreset_method="stratified"))
+        assert calls == []
+        assert batches[0].X.shape[0] == 100
+
+    def test_stratified_regression_fails_loudly(self, spark):
+        # stratification needs class labels; a regression target has none
+        sc = _stamp_scenario(spark)
+        with pytest.raises(ValueError, match="stratified"):
+            prepare_batches(spark, sc, ArdaConfig(coreset_size=80,
+                                                  coreset_method="stratified"))
+
     def test_empty_base_fails_loudly(self, spark):
         sc = _stamp_scenario(spark)
         sc = dataclasses.replace(sc, base=sc.base.limit(0))

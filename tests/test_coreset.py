@@ -1,85 +1,86 @@
-"""Coreset tests: uniform / stratified sampling (Spark) and OSNAP
+"""Coreset tests: uniform / stratified row positions (numpy) and OSNAP
 sketching (numpy, with a hypothesis property for norm preservation)."""
 import numpy as np
-import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coreset.sampling import build_coreset, stratified_sample, uniform_sample
+from repro.coreset.sampling import build_coreset
 from repro.coreset.sketch import sketch_dataset, sketch_rows
 
-
-@pytest.fixture(scope="module")
-def labelled(spark):
-    rng = np.random.default_rng(0)
-    return spark.createDataFrame(pd.DataFrame({
-        "x": rng.normal(size=300),
-        "lab": ["a"] * 200 + ["b"] * 80 + ["c"] * 20,
-    }))
+N = 300
+LABELS = np.array(["a"] * 200 + ["b"] * 80 + ["c"] * 20)
 
 
 class TestUniform:
-    def test_size(self, labelled):
-        assert uniform_sample(labelled, 50, seed=0).count() == 50
+    def test_size(self):
+        assert len(build_coreset(N, 50, seed=0)) == 50
 
-    def test_deterministic(self, labelled):
-        a = uniform_sample(labelled, 30, seed=5).toPandas().sort_values("x")
-        b = uniform_sample(labelled, 30, seed=5).toPandas().sort_values("x")
-        np.testing.assert_allclose(a["x"].to_numpy(), b["x"].to_numpy())
+    def test_deterministic(self):
+        np.testing.assert_array_equal(build_coreset(N, 30, seed=5),
+                                      build_coreset(N, 30, seed=5))
 
-    def test_seed_changes_sample(self, labelled):
-        a = set(uniform_sample(labelled, 30, seed=1).toPandas()["x"])
-        b = set(uniform_sample(labelled, 30, seed=2).toPandas()["x"])
+    def test_seed_changes_sample(self):
+        a = set(build_coreset(N, 30, seed=1))
+        b = set(build_coreset(N, 30, seed=2))
         assert a != b
 
-    def test_subset_of_input(self, labelled):
-        full = set(labelled.toPandas()["x"])
-        samp = set(uniform_sample(labelled, 40, seed=0).toPandas()["x"])
-        assert samp <= full
+    def test_subset_of_input(self):
+        rows = build_coreset(N, 40, seed=0)
+        assert set(rows) <= set(range(N))
+        assert len(set(rows)) == len(rows)
 
 
 class TestStratified:
-    def test_size(self, labelled):
-        assert stratified_sample(labelled, 60, "lab", seed=0).count() == 60
+    def test_size(self):
+        assert len(build_coreset(N, 60, "stratified", LABELS, seed=0)) == 60
 
-    def test_proportions_held(self, labelled):
-        out = stratified_sample(labelled, 60, "lab", seed=0).toPandas()
-        counts = out["lab"].value_counts()
+    def test_deterministic(self):
+        np.testing.assert_array_equal(build_coreset(N, 60, "stratified", LABELS, seed=5),
+                                      build_coreset(N, 60, "stratified", LABELS, seed=5))
+
+    def test_proportions_held(self):
+        rows = build_coreset(N, 60, "stratified", LABELS, seed=0)
+        labs, counts = np.unique(LABELS[rows], return_counts=True)
+        counts = dict(zip(labs, counts))
         assert abs(counts["a"] - 40) <= 2
         assert abs(counts["b"] - 16) <= 2
 
-    def test_rare_label_not_overlooked(self, labelled):
-        out = stratified_sample(labelled, 30, "lab", seed=0).toPandas()
-        assert (out["lab"] == "c").sum() >= 1
+    def test_rare_label_not_overlooked(self):
+        rows = build_coreset(N, 30, "stratified", LABELS, seed=0)
+        assert (LABELS[rows] == "c").sum() >= 1
 
-    def test_small_input_passthrough(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"x": [1.0], "lab": ["a"]}))
-        assert stratified_sample(df, 10, "lab").count() == 1
+    def test_small_input_passthrough(self):
+        assert list(build_coreset(1, 10, "stratified", np.array(["a"]))) == [0]
 
 
 class TestBuildCoreset:
-    def test_dispatch_uniform(self, labelled):
-        assert build_coreset(labelled, 25, "uniform", seed=0).count() == 25
+    def test_dispatch_uniform(self):
+        assert len(build_coreset(N, 25, "uniform", seed=0)) == 25
 
-    def test_dispatch_stratified(self, labelled):
-        out = build_coreset(labelled, 25, "stratified", label_col="lab", seed=0)
-        assert out.count() == 25
+    def test_dispatch_stratified(self):
+        assert len(build_coreset(N, 25, "stratified", LABELS, seed=0)) == 25
 
-    def test_sketch_pre_join_falls_back_to_uniform(self, labelled):
-        assert build_coreset(labelled, 25, "sketch", seed=0).count() == 25
+    def test_positions_sorted(self):
+        for method in ("uniform", "stratified"):
+            rows = build_coreset(N, 25, method, LABELS, seed=0)
+            assert (np.diff(rows) > 0).all()
 
-    def test_stratified_without_label_raises(self, labelled):
+    def test_sketch_takes_every_row(self):
+        # the sketch reduces the joined rows itself (``sketch_dataset``)
+        np.testing.assert_array_equal(build_coreset(N, 25, "sketch", seed=0),
+                                      np.arange(N))
+
+    def test_stratified_without_label_raises(self):
         with pytest.raises(ValueError):
-            build_coreset(labelled, 25, "stratified")
+            build_coreset(N, 25, "stratified")
 
-    def test_unknown_method_raises(self, labelled):
+    def test_unknown_method_raises(self):
         with pytest.raises(ValueError):
-            build_coreset(labelled, 25, "reservoir")
+            build_coreset(N, 25, "reservoir")
 
-    def test_small_input_identity(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"x": [1.0, 2.0]}))
-        assert build_coreset(df, 100, "uniform").count() == 2
+    def test_small_input_identity(self):
+        assert list(build_coreset(2, 100, "uniform")) == [0, 1]
 
 
 class TestSketchRows:

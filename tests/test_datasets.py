@@ -61,6 +61,13 @@ class TestPickup:
         w = sc.repo["lga_weather"].toPandas()
         assert (w["obs_time"].dt.minute == 17).all()
 
+    def test_partial_coverage_noise_tables(self, spark):
+        # partial coverage gives the noise tables Tuple Ratios above 1, so
+        # Table 4's quantile threshold has tables to remove
+        sc = datasets.pickup(spark, n_hours=200)
+        n_keys = [df.count() for t, df in sc.repo.items() if t.startswith("pickup_noise")]
+        assert min(n_keys) < 200
+
 
 class TestPoverty:
     def test_table_count(self, spark):

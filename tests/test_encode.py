@@ -74,12 +74,6 @@ class TestAssemble:
         X, y, names, _ = assemble(mixed_pdf, "target", "reg")
         assert X.shape[0] == 4 and list(y) == [0, 1, 2, 3]
 
-    def test_spark_input(self, spark, mixed_pdf):
-        sdf = spark.createDataFrame(mixed_pdf)
-        X, y, names, _ = assemble(sdf, "target", "reg")
-        assert X.shape[0] == 4
-        assert len(names) == X.shape[1]
-
     def test_empty_features(self):
         pdf = pd.DataFrame({"target": [1.0, 2.0]})
         X, y, names, _ = assemble(pdf, "target", "reg")
