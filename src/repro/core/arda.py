@@ -4,11 +4,11 @@ Stages, matching Figure 1: join plan -> joins -> coreset -> feature
 selection (per batch) -> final estimate.
 
 Every join is a LEFT join onto a pre-aggregated, many-to-one table (§4),
-so a base row's joined values depend only on its key tuple. Each
-candidate table is therefore joined once per scenario and seed, onto the
-distinct key tuples of the base, and attached to the base rows by key;
-the collected rows are imputed with full-base statistics
-(``AugmentedTable``, cached on the ``Scenario``). A coreset is a row
+so a base row's joined values depend only on its key tuple. Spark reduces
+each candidate table to one row per key tuple, once per scenario and
+seed; the driver LEFT-joins that onto the collected base rows by key and
+imputes them with full-base statistics (``AugmentedTable``, cached on
+the ``Scenario``). A coreset is a row
 sample of that table, encoded once; a batch is a column slice of that
 matrix, and the final matrix an encoded column projection of the table.
 
@@ -41,7 +41,7 @@ from repro.core.rifs import rifs_fractions, rifs_select
 from repro.core.search import exponential_search
 from repro.coreset.sampling import build_coreset
 from repro.coreset.sketch import sketch_dataset
-from repro.joins.executor import left_join
+from repro.joins.executor import key_table
 from repro.joins.impute import impute
 from repro.joins.plan import CandidateJoin, make_plan
 from repro.joins.resample import align_time_tables
@@ -108,15 +108,17 @@ class AugmentedTable:
     tables: set[str] = field(default_factory=set)
 
 
-def join_candidate(df: DataFrame, cand: CandidateJoin, foreign: DataFrame,
+def join_candidate(base: DataFrame, cand: CandidateJoin, foreign: DataFrame,
                    seed: int = 0) -> DataFrame:
-    """Join one candidate table onto ``df`` honouring its key semantics."""
+    """One candidate's table at one row per tuple of ``cand.base_keys``;
+    a hard key reads no base rows."""
     if cand.soft:
         bkey, fkey = cand.base_keys[0], cand.foreign_keys[0]
-        foreign = align_time_tables(df, foreign, bkey, fkey)
-        return soft_left_join(df, foreign, bkey, fkey, cand.table,
+        keys = base.select(bkey).distinct()
+        foreign = align_time_tables(keys, foreign, bkey, fkey)
+        return soft_left_join(keys, foreign, bkey, fkey, cand.table,
                               mode=cand.soft, seed=seed)
-    return left_join(df, foreign, cand.base_keys, cand.foreign_keys, cand.table)
+    return key_table(foreign, cand.foreign_keys, cand.base_keys, cand.table)
 
 
 def _augment(scenario: Scenario, cands: list[CandidateJoin],
@@ -125,10 +127,10 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     columns over the base rows, and add them to the scenario's cached
     table (rebuilt when ``seed`` changes). Returns the cached table.
 
-    A candidate joins onto the distinct tuples of its base keys, a plan one
-    join deep, and the collected result is attached to the base rows by key
-    (pandas matches NULL keys, as ``eqNullSafe`` does): a many-to-one LEFT
-    join gives a row exactly what its key tuple gets.
+    A candidate's one join: its collected ``join_candidate`` table, LEFT-
+    joined onto the base rows by key (pandas matches NULL keys, as
+    ``eqNullSafe`` does), gives a row exactly what its key tuple gets, or
+    NULLs when the table lacks that tuple.
     """
     aug = scenario.augmented
     if aug is None or aug.seed != seed:
@@ -139,8 +141,8 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     parts = []
     for cand in new:
         keys = cand.base_keys
-        part = join_candidate(scenario.base.select(*keys).distinct(), cand,
-                              scenario.repo[cand.table], seed=seed).toPandas()
+        part = join_candidate(scenario.base, cand, scenario.repo[cand.table],
+                              seed=seed).toPandas()
         parts.append(aug.frame[keys].join(part.set_index(keys), on=keys,
                                           validate="m:1").drop(columns=keys))
     aug.frame = aug.frame.join(impute(pd.concat(parts, axis=1), seed=seed))

@@ -5,10 +5,11 @@ Each ``repro.experiments.tableN`` module exposes ``run(spark, quick=False)
 ``quick=True`` shrinks data sizes and iteration counts for smoke runs;
 benchmarks and jobs default to the full container-scale settings.
 
-Joins inside the experiment jobs run with broadcast enabled (the foreign
-tables are small dimension tables; ARDA's contribution is selection, not
-the join algorithm — the shuffle path is exercised by the test suite,
-which keeps the session default of broadcast-off).
+Spark joins inside the experiment jobs (the soft-key lookups) run with
+broadcast enabled (the foreign tables are small dimension tables; ARDA's
+contribution is selection, not the join algorithm — the shuffle path is
+exercised by the test suite, which keeps the session default of
+broadcast-off).
 """
 from __future__ import annotations
 

@@ -1,16 +1,17 @@
-"""LEFT-join execution with base-row preservation (paper §4).
+"""Pre-aggregation of foreign tables for LEFT joins (paper §4).
 
-Invariants enforced here:
-* Only LEFT joins: every base-table row survives exactly once — training
-  examples are never added or removed.
-* One-to-many / many-to-many joins are reduced to many-to-one by
-  pre-aggregating the foreign table on its join keys (mean for numerics,
-  min for everything else — deterministic).
-* Foreign columns are prefixed ``<table>__`` so repeated augmentation
-  never collides.
+Every join is a LEFT join onto a many-to-one table, so every base-table
+row survives exactly once — training examples are never added or
+removed. One-to-many / many-to-many joins are reduced to many-to-one by
+pre-aggregating the foreign table on its join keys (mean for numerics,
+min for everything else — deterministic). Foreign columns are prefixed
+``<table>__`` so repeated augmentation never collides.
 
-Composite (multi-column) keys are plain lists; soft keys are handled in
-``repro.joins.soft`` and dispatched from ``repro.core.arda.join_candidate``.
+``key_table`` is a hard-key candidate's whole Spark side: one row per
+foreign key tuple, keyed by the base's key names. It reads no base rows;
+``repro.core.arda._augment`` attaches it to the base rows by key. Soft
+keys are handled in ``repro.joins.soft`` and dispatched from
+``repro.core.arda.join_candidate``.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-__all__ = ["preaggregate", "left_join", "prefix_columns", "NUMERIC_TYPES"]
+__all__ = ["preaggregate", "key_table", "prefix_columns", "NUMERIC_TYPES"]
 
 # Spark types treated as numeric: mean (not min) pre-aggregation here and
 # interpolation in two-way soft joins.
@@ -48,21 +49,11 @@ def prefix_columns(df: DataFrame, prefix: str, exclude: list[str]) -> DataFrame:
     return df.select(*sel)
 
 
-def left_join(base: DataFrame, foreign: DataFrame, base_keys: list[str],
-              foreign_keys: list[str], prefix: str) -> DataFrame:
-    """LEFT-join ``foreign`` onto ``base`` on (possibly composite) keys.
-
-    The foreign side is pre-aggregated so the join is many-to-one and
-    cannot duplicate base rows. Join keys on the foreign side are dropped
-    after the join (the base copy stays).
-    """
-    if len(base_keys) != len(foreign_keys) or not base_keys:
-        raise ValueError("base_keys and foreign_keys must be equal-length, non-empty")
-    f = preaggregate(foreign, foreign_keys)
-    f = prefix_columns(f, prefix, exclude=[])
-    pf_keys = [f"{prefix}__{k}" for k in foreign_keys]
-    cond = None
-    for bk, fk in zip(base_keys, pf_keys):
-        c = base[bk].eqNullSafe(f[fk])
-        cond = c if cond is None else (cond & c)
-    return base.join(f, cond, "left").drop(*pf_keys)
+def key_table(foreign: DataFrame, foreign_keys: list[str], base_keys: list[str],
+              prefix: str) -> DataFrame:
+    """``foreign`` pre-aggregated to one row per key tuple, its keys
+    renamed to ``base_keys`` and every other column prefixed."""
+    df = prefix_columns(preaggregate(foreign, foreign_keys), prefix,
+                        exclude=foreign_keys)
+    rename = dict(zip(foreign_keys, base_keys))
+    return df.toDF(*(rename.get(c, c) for c in df.columns))

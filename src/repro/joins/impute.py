@@ -19,8 +19,7 @@ __all__ = ["impute"]
 _MAX_CAT_DOMAIN = 200
 
 
-def impute(df: pd.DataFrame, cols: list[str] | None = None, seed: int = 0
-           ) -> pd.DataFrame:
+def impute(df: pd.DataFrame, seed: int = 0) -> pd.DataFrame:
     """Fill NULLs: numeric -> lower median, string/bool -> uniform random
     pick from the first observed values (or a constant fallback when a
     column is entirely NULL). Returns a new frame.
@@ -30,7 +29,7 @@ def impute(df: pd.DataFrame, cols: list[str] | None = None, seed: int = 0
     """
     u = np.random.default_rng(seed).random(len(df))
     filled = {}
-    for c in df.columns if cols is None else cols:
+    for c in df.columns:
         col = df[c]
         miss = col.isna().to_numpy()
         if not miss.any():

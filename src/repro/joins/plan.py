@@ -30,6 +30,12 @@ class CandidateJoin:
     soft: str | None = None  # None (equal keys) | "nearest" | "two_way"
     n_features: int = 0  # feature columns the join would add
 
+    def __post_init__(self):
+        n = len(self.base_keys)
+        if n != len(self.foreign_keys) or not n or (self.soft and n > 1):
+            raise ValueError(f"candidate {self.table!r}: base and foreign keys must "
+                             "be equal-length and non-empty, one key if soft")
+
 
 def order_candidates(candidates: list[CandidateJoin]) -> list[CandidateJoin]:
     """Priority order: discovery score desc, then name for determinism."""

@@ -259,13 +259,6 @@ class RandomForest:
             return self.classes_[np.argmax(proba, axis=1)]
         return preds.mean(axis=0)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.task != "cls":
-            raise ValueError("predict_proba is classification-only")
-        self._check_fitted()
-        B = _bin_matrix(np.asarray(X, dtype=np.float64), self.edges_)
-        return np.stack([t.predict_binned(B) for t in self.trees]).mean(axis=0)
-
     @property
     def feature_importances_(self) -> np.ndarray:
         self._check_fitted()

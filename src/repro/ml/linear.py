@@ -18,7 +18,7 @@ _LASSO_TOL = 1e-6  # FISTA stops when no coefficient moves by more
 # Full-batch gradient descent: steps and step size per classifier.
 _GD_ITERS = 300
 _LOGREG_LR = 0.5
-_SVC_LR = 0.2
+_SVC_LR = 0.2  # LinearSVC's step, capped at 1/L
 
 
 @dataclass
@@ -171,12 +171,15 @@ class LinearSVC:
         W = np.zeros((c, d))
         b = np.zeros(c)
         lam = 1.0 / (self.C * n)
+        # Lipschitz constant of the gradient in (W, b); a step over 1/L diverges.
+        L = 2.0 * float(np.linalg.norm(np.hstack([Xs, np.ones((n, 1))]), 2) ** 2) / n + lam
+        lr = min(_SVC_LR, 1.0 / L)
         for _ in range(_GD_ITERS):
             M = Xs @ W.T + b  # (n, c) margins
             viol = np.maximum(0.0, 1.0 - S * M)  # squared-hinge active part
             G = (-2.0 * S * viol) / n  # d loss / d margin
-            W -= _SVC_LR * (G.T @ Xs + lam * W)
-            b -= _SVC_LR * G.sum(axis=0)
+            W -= lr * (G.T @ Xs + lam * W)
+            b -= lr * G.sum(axis=0)
         self.coef_, self.intercept_ = W, b
         return self
 

@@ -355,23 +355,29 @@ def _half_covered_scenario(spark) -> Scenario:
 
 
 class TestFlatJoins:
-    def test_each_join_sees_only_distinct_keys(self, spark, monkeypatch):
-        # every candidate joins onto the distinct tuples of its own base
-        # keys, never onto a frame carrying earlier tables' columns
+    def test_hard_keys_read_no_base_soft_keys_see_distinct(self, spark, monkeypatch):
+        # a hard candidate's key table is the pre-aggregated foreign table
+        # alone (no Spark join); a soft candidate still matches the
+        # distinct values of its base key
         sc = datasets.taxi(spark, n_days=30, n_zones=2)
         seen = []
-        join = arda.join_candidate
+        soft = arda.soft_left_join
 
-        def recorded_join(df, cand, *a, **kw):
-            seen.append((df, cand))
-            return join(df, cand, *a, **kw)
+        def recorded_soft(keys, *a, **kw):
+            seen.append(keys)
+            return soft(keys, *a, **kw)
 
-        monkeypatch.setattr(arda, "join_candidate", recorded_join)
-        arda._augment(sc, sc.candidates, seed=0)
-        assert len(seen) == len(sc.candidates)
-        for df, cand in seen:
-            assert df.columns == cand.base_keys
-            assert not df.toPandas().duplicated().any()
+        monkeypatch.setattr(arda, "soft_left_join", recorded_soft)
+        softs = [c for c in sc.candidates if c.soft]
+        assert softs and len(softs) < len(sc.candidates)
+        for cand in sc.candidates:
+            out = arda.join_candidate(sc.base, cand, sc.repo[cand.table], seed=0)
+            plan = out._jdf.queryExecution().optimizedPlan().toString()
+            assert ("Join" in plan) == bool(cand.soft), cand.table
+        assert len(seen) == len(softs)
+        for keys, cand in zip(seen, softs):
+            assert keys.columns == cand.base_keys
+            assert not keys.toPandas().duplicated().any()
 
     def test_null_and_unmatched_keys_per_row(self, spark):
         # a NULL key matches the foreign NULL key; an unmatched row gets the

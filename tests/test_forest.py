@@ -112,18 +112,6 @@ class TestClassification:
         rf = RandomForest(task="cls", n_trees=5, seed=0).fit(X, y)
         assert set(rf.predict(X)) <= {"a", "b"}
 
-    def test_predict_proba_sums_to_one(self, cls_data):
-        X, y = cls_data
-        rf = RandomForest(task="cls", n_trees=10, seed=0).fit(X, y)
-        P = rf.predict_proba(X[:30])
-        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_proba_raises_for_regression(self, reg_data):
-        X, y = reg_data
-        rf = RandomForest(task="reg", n_trees=3, seed=0).fit(X, y)
-        with pytest.raises(ValueError):
-            rf.predict_proba(X)
-
     def test_multiclass(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(450, 6))
@@ -259,6 +247,12 @@ def _reference_forest(rf: RandomForest, X: np.ndarray, y: np.ndarray) -> RandomF
     return ref
 
 
+def _proba(rf: RandomForest, X: np.ndarray) -> np.ndarray:
+    """Class probabilities: the per-tree leaf distributions, averaged."""
+    B = _bin_matrix(X, rf.edges_)
+    return np.stack([t.predict_binned(B) for t in rf.trees]).mean(axis=0)
+
+
 _default_rng = np.random.default_rng
 
 
@@ -305,7 +299,7 @@ class TestLevelwiseMatchesReference:
             assert (t.feature >= 0).sum() == (r.feature >= 0).sum()
         Xt = rng.normal(size=(300, 9))
         if task == "cls":
-            np.testing.assert_array_equal(rf.predict_proba(Xt), ref.predict_proba(Xt))
+            np.testing.assert_array_equal(_proba(rf, Xt), _proba(ref, Xt))
         np.testing.assert_allclose(rf.predict(Xt), ref.predict(Xt), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(rf.feature_importances_, ref.feature_importances_,
                                    rtol=1e-10, atol=1e-14)
@@ -324,7 +318,7 @@ class TestLevelwiseMatchesReference:
         for cap in (1 << 15, forest._MAX_HIST_CELLS):
             monkeypatch.setattr(forest, "_MAX_HIST_CELLS", cap)
             rf = RandomForest(**kw).fit(X, y)
-            np.testing.assert_array_equal(rf.predict_proba(Xt), ref.predict_proba(Xt))
+            np.testing.assert_array_equal(_proba(rf, Xt), _proba(ref, Xt))
             np.testing.assert_allclose(rf.feature_importances_, ref.feature_importances_,
                                        rtol=1e-10, atol=1e-14)
 

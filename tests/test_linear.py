@@ -135,3 +135,14 @@ class TestLinearSVC:
         y = np.digitize(X[:, 0], [-0.6, 0.6])
         m = LinearSVC().fit(X, y)
         assert (m.predict(X) == y).mean() > 0.75
+
+    def test_correlated_columns_stay_finite(self):
+        # 200 near-copies of one column: 2||[Xs, 1]||^2 / n is about 400,
+        # so a fixed 0.2 step diverges; the 1/L step must not
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(120, 1))
+        X = z + 0.05 * rng.normal(size=(120, 200))
+        y = (z[:, 0] + 0.9 * rng.normal(size=120) > 0).astype(int)
+        m = LinearSVC().fit(X, y)
+        assert np.isfinite(m.coef_).all() and np.isfinite(m.intercept_).all()
+        assert (m.predict(X) == y).mean() > 0.6

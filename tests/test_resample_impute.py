@@ -99,12 +99,6 @@ class TestImpute:
         out = impute(pdf).sort_values("a")
         pd.testing.assert_frame_equal(out.reset_index(drop=True), pdf)
 
-    def test_cols_subset_only(self):
-        df = pd.DataFrame({"a": [1.0, None], "b": [None, 2.0]})
-        out = impute(df, cols=["a"])
-        assert not out["a"].isna().any()
-        assert out["b"].isna().any()
-
     def test_bool_column_fill(self):
         df = pd.DataFrame({"f": [True, None, False]}).astype({"f": "boolean"})
         out = impute(df)
