@@ -8,9 +8,9 @@ so a base row's joined values depend only on its key tuple. Spark reduces
 each candidate table to one row per key tuple, once per scenario and
 seed; the driver LEFT-joins that onto the collected base rows by key and
 imputes them with full-base statistics (``AugmentedTable``, cached on
-the ``Scenario``). A coreset is a row
-sample of that table, encoded once; a batch is a column slice of that
-matrix, and the final matrix an encoded column projection of the table.
+the ``Scenario``). A coreset is a row sample of that table, encoded
+once; a batch is a column slice of that matrix, and the final matrix an
+encoded column projection of the table.
 
 The pipeline is factored into three reusable pieces so experiment jobs
 can amortize the expensive parts across the many selectors they compare:
@@ -127,10 +127,10 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     columns over the base rows, and add them to the scenario's cached
     table (rebuilt when ``seed`` changes). Returns the cached table.
 
-    A candidate's one join: its collected ``join_candidate`` table, LEFT-
-    joined onto the base rows by key (pandas matches NULL keys, as
-    ``eqNullSafe`` does), gives a row exactly what its key tuple gets, or
-    NULLs when the table lacks that tuple.
+    Each candidate gets one join: its collected ``join_candidate`` table
+    is LEFT-joined onto the base rows by key (pandas matches NULL keys,
+    as ``eqNullSafe`` does), so a row gets exactly what its key tuple
+    gets, or NULLs when the table lacks that tuple.
     """
     aug = scenario.augmented
     if aug is None or aug.seed != seed:

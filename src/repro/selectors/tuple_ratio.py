@@ -11,7 +11,8 @@ ARDA uses the rule two ways (paper §7, Table 4):
   them with no feature selection, and
 * as a prefilter before RIFS, trading a little accuracy for speed.
 
-``n_R`` is computed with a distributed ``countDistinct`` per candidate.
+``n_R`` is counted in the driver on the collected key columns (a NULL key
+is one value): a Spark shuffle per table would cost about what its join does.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ __all__ = ["tuple_ratio", "tuple_ratios"]
 
 
 def tuple_ratio(n_base: int, foreign: DataFrame, key_cols: list[str]) -> float:
-    n_r = foreign.select(*key_cols).distinct().count()
+    n_r = len(foreign.select(*key_cols).toPandas().drop_duplicates())
     return float(n_base) / max(1, n_r)
 
 

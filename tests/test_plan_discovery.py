@@ -80,6 +80,11 @@ class TestTupleRatio:
             "a": [1, 1, 2], "b": ["x", "y", "x"], "v": [0.0] * 3}))
         assert tuple_ratio(6, f, ["a", "b"]) == pytest.approx(2.0)
 
+    def test_null_key_is_one_value(self, spark):
+        f = spark.createDataFrame(pd.DataFrame({
+            "a": [1.0, 1.0, None, None], "b": ["x", "x", None, None]}))
+        assert tuple_ratio(6, f, ["a"]) == tuple_ratio(6, f, ["a", "b"]) == pytest.approx(3.0)
+
 
 class TestDiscovery:
     @pytest.fixture()
