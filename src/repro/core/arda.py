@@ -6,9 +6,10 @@ selection (per batch) -> final estimate.
 Every join is a LEFT join onto a pre-aggregated, many-to-one table (§4),
 so a base row's joined values depend only on its key tuple. Spark reduces
 each candidate table to one row per key tuple, once per scenario and
-seed; the driver LEFT-joins that onto the collected base rows by key and
-imputes them with full-base statistics (``AugmentedTable``, cached on
-the ``Scenario``). A coreset is a row sample of that table, encoded
+seed, and runs no join; the driver matches a soft key's values onto that
+table, LEFT-joins it onto the collected base rows by key and imputes
+them with full-base statistics (``AugmentedTable``, cached on the
+``Scenario``). A coreset is a row sample of that table, encoded
 once; a batch is a column slice of that matrix, and the final matrix an
 encoded column projection of the table.
 
@@ -45,7 +46,7 @@ from repro.joins.executor import key_table
 from repro.joins.impute import impute
 from repro.joins.plan import CandidateJoin, make_plan
 from repro.joins.resample import align_time_tables
-from repro.joins.soft import soft_left_join
+from repro.joins.soft import soft_match
 from repro.ml.encode import assemble
 from repro.ml.evaluate import Evaluator, holdout_score, make_estimator
 from repro.selectors import rank_scores
@@ -108,16 +109,15 @@ class AugmentedTable:
     tables: set[str] = field(default_factory=set)
 
 
-def join_candidate(base: DataFrame, cand: CandidateJoin, foreign: DataFrame,
-                   seed: int = 0) -> DataFrame:
-    """One candidate's table at one row per tuple of ``cand.base_keys``;
-    a hard key reads no base rows."""
+def join_candidate(base: DataFrame, cand: CandidateJoin, foreign: DataFrame
+                   ) -> DataFrame:
+    """One candidate's Spark side: its ``key_table``, one row per foreign
+    key tuple, keyed by ``cand.base_keys``. A soft time key's table is
+    first resampled to the base key's granularity, which reads the base
+    only through that aggregate; no candidate's query runs a join."""
     if cand.soft:
-        bkey, fkey = cand.base_keys[0], cand.foreign_keys[0]
-        keys = base.select(bkey).distinct()
-        foreign = align_time_tables(keys, foreign, bkey, fkey)
-        return soft_left_join(keys, foreign, bkey, fkey, cand.table,
-                              mode=cand.soft, seed=seed)
+        foreign = align_time_tables(base, foreign, cand.base_keys[0],
+                                    cand.foreign_keys[0])
     return key_table(foreign, cand.foreign_keys, cand.base_keys, cand.table)
 
 
@@ -130,7 +130,8 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     Each candidate gets one join: its collected ``join_candidate`` table
     is LEFT-joined onto the base rows by key (pandas matches NULL keys,
     as ``eqNullSafe`` does), so a row gets exactly what its key tuple
-    gets, or NULLs when the table lacks that tuple.
+    gets, or NULLs when the table lacks that tuple. A soft key's table is
+    first matched onto the base's distinct key values (``soft_match``).
     """
     aug = scenario.augmented
     if aug is None or aug.seed != seed:
@@ -141,8 +142,9 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     parts = []
     for cand in new:
         keys = cand.base_keys
-        part = join_candidate(scenario.base, cand, scenario.repo[cand.table],
-                              seed=seed).toPandas()
+        part = join_candidate(scenario.base, cand, scenario.repo[cand.table]).toPandas()
+        if cand.soft:
+            part = soft_match(aug.frame[keys[0]], part, keys[0], cand.soft, seed)
         parts.append(aug.frame[keys].join(part.set_index(keys), on=keys,
                                           validate="m:1").drop(columns=keys))
     aug.frame = aug.frame.join(impute(pd.concat(parts, axis=1), seed=seed))

@@ -7,11 +7,11 @@ pre-aggregating the foreign table on its join keys (mean for numerics,
 min for everything else — deterministic). Foreign columns are prefixed
 ``<table>__`` so repeated augmentation never collides.
 
-``key_table`` is a hard-key candidate's whole Spark side: one row per
-foreign key tuple, keyed by the base's key names. It reads no base rows;
-``repro.core.arda._augment`` attaches it to the base rows by key. Soft
-keys are handled in ``repro.joins.soft`` and dispatched from
-``repro.core.arda.join_candidate``.
+``key_table`` is every candidate's whole Spark side: one row per foreign
+key tuple, keyed by the base's key names. It reads no base rows and runs
+no join; ``repro.core.arda._augment`` collects it and attaches it to the
+base rows by key, after matching a soft key's values onto it
+(``repro.joins.soft``).
 """
 from __future__ import annotations
 
@@ -19,10 +19,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-__all__ = ["preaggregate", "key_table", "prefix_columns", "NUMERIC_TYPES"]
+__all__ = ["preaggregate", "key_table", "prefix_columns"]
 
-# Spark types treated as numeric: mean (not min) pre-aggregation here and
-# interpolation in two-way soft joins.
+# Spark types pre-aggregated by their mean (everything else by its min).
 NUMERIC_TYPES = (T.IntegerType, T.LongType, T.FloatType, T.DoubleType,
                  T.ShortType, T.ByteType, T.DecimalType)
 

@@ -35,6 +35,8 @@ class CandidateJoin:
         if n != len(self.foreign_keys) or not n or (self.soft and n > 1):
             raise ValueError(f"candidate {self.table!r}: base and foreign keys must "
                              "be equal-length and non-empty, one key if soft")
+        if self.soft not in (None, "nearest", "two_way"):
+            raise ValueError(f"candidate {self.table!r}: unknown soft mode {self.soft!r}")
 
 
 def order_candidates(candidates: list[CandidateJoin]) -> list[CandidateJoin]:

@@ -59,9 +59,14 @@ def resample_to(df: DataFrame, col: str, gran: str) -> DataFrame:
 
 def align_time_tables(base: DataFrame, foreign: DataFrame,
                       base_key: str, foreign_key: str) -> DataFrame:
-    """Resample the foreign table to the base key's granularity when the
-    foreign key is strictly finer; otherwise return it unchanged (the
-    base table is never modified — its rows are the training examples)."""
+    """Resample the foreign table to the base key's granularity when both
+    keys are times or dates and the foreign key is strictly finer;
+    otherwise return it unchanged (the base table is never modified — its
+    rows are the training examples)."""
+    times = (T.TimestampType, T.DateType)
+    if not (isinstance(base.schema[base_key].dataType, times)
+            and isinstance(foreign.schema[foreign_key].dataType, times)):
+        return foreign
     bg = detect_granularity(base, base_key)
     fg = detect_granularity(foreign, foreign_key)
     if GRANULARITIES.index(fg) > GRANULARITIES.index(bg):

@@ -137,6 +137,10 @@ class TestLeftJoin:
             CandidateJoin(table="W", base_keys=["t", "u"], foreign_keys=["t", "u"],
                           soft="nearest")
 
+    def test_bad_mode_raises(self):
+        with pytest.raises(ValueError, match="'G'"):
+            CandidateJoin(table="G", base_keys=["t"], foreign_keys=["k"], soft="fuzzy")
+
     def test_null_base_keys_survive(self, spark, foreign, monkeypatch):
         b = spark.createDataFrame(pd.DataFrame({"id": [1, None, 3], "x": [1.0, 2.0, 3.0]}))
         out = left_join(b, {"F": (foreign, ["id"], ["fid"])}, monkeypatch)
