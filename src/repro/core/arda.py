@@ -42,10 +42,9 @@ from repro.core.rifs import rifs_fractions, rifs_select
 from repro.core.search import exponential_search
 from repro.coreset.sampling import build_coreset
 from repro.coreset.sketch import sketch_dataset
-from repro.joins.executor import key_table
+from repro.joins.executor import align_time_tables, key_table
 from repro.joins.impute import impute
 from repro.joins.plan import CandidateJoin, make_plan
-from repro.joins.resample import align_time_tables
 from repro.joins.soft import soft_match
 from repro.ml.encode import assemble
 from repro.ml.evaluate import Evaluator, holdout_score, make_estimator
@@ -111,10 +110,11 @@ class AugmentedTable:
 
 def join_candidate(base: DataFrame, cand: CandidateJoin, foreign: DataFrame
                    ) -> DataFrame:
-    """One candidate's Spark side: its ``key_table``, one row per foreign
-    key tuple, keyed by ``cand.base_keys``. A soft time key's table is
-    first resampled to the base key's granularity, which reads the base
-    only through that aggregate; no candidate's query runs a join."""
+    """One candidate's Spark side: its ``key_table``, one ``groupBy`` to
+    one row per foreign key tuple, keyed by ``cand.base_keys``. A soft
+    time key is first truncated to the base key's granularity, so that
+    ``groupBy`` also resamples it (§4); the base is read only through its
+    granularity aggregate, and no candidate's query runs a join."""
     if cand.soft:
         foreign = align_time_tables(base, foreign, cand.base_keys[0],
                                     cand.foreign_keys[0])

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.ranking import ensemble_scores
 from repro.ml.evaluate import Evaluator
+from repro.ml.linear import Standardizer
 
 __all__ = ["inject_random_features", "rifs_fractions", "rifs_select"]
 
@@ -56,9 +57,7 @@ def rifs_fractions(X: np.ndarray, y: np.ndarray, task: str, k: int,
     default (no pruning power). The ranking ensemble is scale-free, so
     standardization changes nothing else.
     """
-    X = np.asarray(X, dtype=float)
-    std = X.std(axis=0)
-    X = (X - X.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    X = Standardizer().fit_transform(np.asarray(X, dtype=float))
     n, d = X.shape
     wins = np.zeros(d)
     for it in range(k):

@@ -5,11 +5,10 @@ Each ``repro.experiments.tableN`` module exposes ``run(spark, quick=False)
 ``quick=True`` shrinks data sizes and iteration counts for smoke runs;
 benchmarks and jobs default to the full container-scale settings.
 
-Spark joins inside the experiment jobs (the soft-key lookups) run with
-broadcast enabled (the foreign tables are small dimension tables; ARDA's
-contribution is selection, not the join algorithm — the shuffle path is
-exercised by the test suite, which keeps the session default of
-broadcast-off).
+No pipeline query runs a Spark join: each candidate's Spark side is its
+pre-aggregated key table, and the join onto the base rows runs in pandas
+(``repro.core.arda``). So the jobs leave the session's broadcast
+threshold as it is.
 """
 from __future__ import annotations
 
@@ -48,6 +47,9 @@ _BROADCAST_BYTES = 8 << 20
 
 @contextmanager
 def broadcast_joins(spark):
+    """Set Spark's broadcast-join threshold to ``_BROADCAST_BYTES`` for the
+    block, then restore it. No pipeline query contains a join, so this
+    changes no plan; it is kept for ``perfbench/run.py``, which enters it."""
     key = "spark.sql.autoBroadcastJoinThreshold"
     old = spark.conf.get(key)
     spark.conf.set(key, str(_BROADCAST_BYTES))
@@ -188,12 +190,11 @@ def run_table(spark, table: str, names: list[str], quick: bool, rows_fn,
     ``rows_fn(spark, scenario, quick)``, and rewrite ``results/<table>.csv``
     after each dataset so a long run keeps its finished rows."""
     rows: list[dict] = []
-    with broadcast_joins(spark):
-        for name in names:
-            scenario = load(spark, name, quick, profile)
-            rows.extend(rows_fn(spark, scenario, quick))
-            save_table(pd.DataFrame(rows), table)
-            print(f"[{table}] {name}: done ({len(rows)} rows so far)", flush=True)
+    for name in names:
+        scenario = load(spark, name, quick, profile)
+        rows.extend(rows_fn(spark, scenario, quick))
+        save_table(pd.DataFrame(rows), table)
+        print(f"[{table}] {name}: done ({len(rows)} rows so far)", flush=True)
     return pd.DataFrame(rows)
 
 

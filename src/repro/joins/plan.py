@@ -60,14 +60,11 @@ def make_plan(candidates: list[CandidateJoin], strategy: str = "budget",
     used = 0
     for c in cands:
         width = max(1, c.n_features)
-        if width >= budget and not cur:
-            # Wider-than-budget table: ships alone, whole (paper §4).
-            batches.append([c])
-            continue
         if used + width > budget and cur:
             batches.append(cur)
             cur, used = [], 0
         if width >= budget:
+            # Wider-than-budget table: ships alone, whole (paper §4).
             batches.append([c])
         else:
             cur.append(c)

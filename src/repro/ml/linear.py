@@ -15,6 +15,7 @@ import numpy as np
 __all__ = ["Standardizer", "Ridge", "Lasso", "LogisticRegression", "LinearSVC"]
 
 _LASSO_TOL = 1e-6  # FISTA stops when no coefficient moves by more
+_LASSO_MAX_ITER = 400  # FISTA steps at most
 # Full-batch gradient descent: steps and step size per classifier.
 _GD_ITERS = 300
 _LOGREG_LR = 0.5
@@ -73,7 +74,6 @@ class Lasso:
     """
 
     alpha: float = 0.01
-    max_iter: int = 400
     coef_: np.ndarray | None = None
     intercept_: float = 0.0
     _sc: Standardizer = field(default_factory=Standardizer, repr=False)
@@ -89,7 +89,7 @@ class Lasso:
         w = np.zeros(d)
         z, t = w.copy(), 1.0
         thr = self.alpha / L
-        for _ in range(self.max_iter):
+        for _ in range(_LASSO_MAX_ITER):
             grad = Xs.T @ (Xs @ z - yc) / n
             w_new = z - grad / L
             w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - thr, 0.0)

@@ -20,7 +20,11 @@ column is declared apart from them: the base columns the candidates join
 on are the scenario's keys (``Scenario.key_cols``), never encoded as
 features. The one soft candidate per time-keyed scenario names its match
 (``soft="two_way"`` for Taxi's hourly weather, ``"nearest"`` for
-Pickup's); every other key joins on equality.
+Pickup's); every other key joins on equality. Both soft tables are finer
+than their base key, so once resampled to its granularity
+(``joins.executor.align_time_tables``) they hold every base key value:
+their soft match is an equality match, and only the unit tests reach
+the floor/ceil arithmetic of ``joins.soft``.
 
 Each candidate join carries a declared ``score``, and the scores set the
 join-plan order (``joins.plan.order_candidates``). They are not the
@@ -99,7 +103,7 @@ def taxi(spark: SparkSession, seed: int = 0, n_days: int = 375,
          n_zones: int = 4) -> Scenario:
     """Regression: predict daily taxi trips per zone. 29 candidate tables.
 
-    Signal: hourly weather (soft time key, needs resampling + soft join),
+    Signal: hourly weather (soft time key, resampled to days),
     a daily events table (hard date key), a zone-attributes table, and a
     co-predictor pair split across fuel_price / traffic_idx.
     """
@@ -175,7 +179,8 @@ def taxi(spark: SparkSession, seed: int = 0, n_days: int = 375,
 def pickup(spark: SparkSession, seed: int = 1, n_hours: int = 2000) -> Scenario:
     """Regression: hourly LGA passenger pickups. 23 candidate tables.
 
-    Signal: minute-offset weather (soft NN join — hard join finds nothing),
+    Signal: minute-offset weather (soft NN join; no raw observation time
+    is a base hour, but resampled to hours it holds every one),
     hourly flight arrivals (hard), and a split co-predictor pair
     (security_wait x cab_supply).
     """
@@ -197,7 +202,8 @@ def pickup(spark: SparkSession, seed: int = 1, n_hours: int = 2000) -> Scenario:
 
     tables: dict[str, pd.DataFrame] = {}
     cands: list[CandidateJoin] = []
-    # Weather observed at :17 past the hour -> exact-match join fails
+    # Weather observed at :17 past the hour: an exact match on the raw
+    # times finds nothing; resampling truncates each to its hour
     tables["lga_weather"] = pd.DataFrame({
         "obs_time": hours + pd.Timedelta(minutes=17),
         "temperature": wtemp + rng.normal(0, .3, n),

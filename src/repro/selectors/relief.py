@@ -13,6 +13,7 @@ import numpy as np
 __all__ = ["relief_scores"]
 
 _N_NEIGHBORS = 5  # nearest hits / misses per class (regression: twice this)
+_SAMPLE_SIZE = 256  # instances sampled for the weight updates, at most
 
 
 def _normalize(X: np.ndarray) -> np.ndarray:
@@ -22,12 +23,11 @@ def _normalize(X: np.ndarray) -> np.ndarray:
     return (X - lo) / rng
 
 
-def relief_scores(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0,
-                  sample_size: int = 256) -> np.ndarray:
+def relief_scores(X: np.ndarray, y: np.ndarray, task: str, seed: int = 0) -> np.ndarray:
     X = _normalize(np.asarray(X, dtype=float))
     n, d = X.shape
     rng = np.random.default_rng(seed)
-    m = min(sample_size, n)
+    m = min(_SAMPLE_SIZE, n)
     picks = rng.choice(n, m, replace=False)
 
     def dists(i: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.linear import Standardizer
+from repro.ml.linear import Standardizer, _one_hot
 
 __all__ = ["l21_solve", "l21_loss", "sparse_regression_scores"]
 
@@ -28,9 +28,8 @@ def _one_hot_targets(y: np.ndarray, task: str) -> np.ndarray:
     if task == "reg":
         y = np.asarray(y, dtype=float)
         return (y - y.mean())[:, None]
-    _, enc = np.unique(y, return_inverse=True)
-    Y = np.zeros((len(enc), enc.max() + 1))
-    Y[np.arange(len(enc)), enc] = 1.0
+    classes, enc = np.unique(y, return_inverse=True)
+    Y = _one_hot(enc, len(classes))
     return Y - Y.mean(axis=0)
 
 

@@ -20,6 +20,7 @@ _PATIENCE = 2  # forward selection: non-improving adds before it stops
 _MAX_START = 48  # backward elimination: RF-ranked features it starts from
 _DROP_FRAC = 0.5  # RFE: share of the surviving features dropped per round
 _MIN_FEATURES = 2  # backward elimination and RFE never go below this
+_MAX_ROUNDS = 12  # backward elimination: elimination rounds at most
 
 
 def forward_selection(ev: Evaluator, max_features: int = 24,
@@ -54,11 +55,11 @@ def forward_selection(ev: Evaluator, max_features: int = 24,
     return np.array(sorted(best_set), dtype=int)
 
 
-def backward_elimination(ev: Evaluator, max_rounds: int = 12) -> np.ndarray:
+def backward_elimination(ev: Evaluator) -> np.ndarray:
     """Greedy remove, starting from the top-``_MAX_START`` RF-ranked features
     (a full backward pass over hundreds of features is quadratic in model
     fits; the paper's own runtimes show this is the most expensive method).
-    ``max_rounds`` bounds the elimination rounds at container scale."""
+    ``_MAX_ROUNDS`` bounds the elimination rounds at container scale."""
     d = ev.X.shape[1]
     if d > _MAX_START:
         imp = random_forest_scores(ev.X, ev.y, ev.task, ev.seed)
@@ -68,7 +69,7 @@ def backward_elimination(ev: Evaluator, max_rounds: int = 12) -> np.ndarray:
     best_total = ev.score(current)
     best_set = list(current)
     improved, rounds = True, 0
-    while improved and len(current) > _MIN_FEATURES and rounds < max_rounds:
+    while improved and len(current) > _MIN_FEATURES and rounds < _MAX_ROUNDS:
         improved = False
         rounds += 1
         scores = [(ev.score([c for c in current if c != j]), j) for j in current]

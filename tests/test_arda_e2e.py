@@ -357,13 +357,16 @@ def _half_covered_scenario(spark) -> Scenario:
 class TestFlatJoins:
     def test_no_candidate_query_runs_a_join(self, spark):
         # every candidate's Spark side, a soft one included, is its
-        # pre-aggregated foreign table alone: no Spark join
+        # pre-aggregated foreign table alone: no Spark join, and one
+        # groupBy at most (a resampled soft key is aggregated once)
         sc = datasets.taxi(spark, n_days=30, n_zones=2)
         assert any(c.soft for c in sc.candidates)
         for cand in sc.candidates:
             out = arda.join_candidate(sc.base, cand, sc.repo[cand.table])
             plan = out._jdf.queryExecution().optimizedPlan().toString()
             assert "Join" not in plan, cand.table
+            nodes = [line.lstrip(" :+-") for line in plan.splitlines()]
+            assert sum(n.startswith("Aggregate") for n in nodes) <= 1, cand.table
 
     def test_null_and_unmatched_keys_per_row(self, spark):
         # a NULL key matches the foreign NULL key; an unmatched row gets the

@@ -37,7 +37,7 @@ class TestTaxi:
         assert small_taxi.signal_tables <= set(small_taxi.repo)
 
     def test_weather_hourly_granularity(self, small_taxi):
-        from repro.joins.resample import detect_granularity
+        from repro.joins.executor import detect_granularity
         assert detect_granularity(small_taxi.repo["weather"], "obs_time") == "hour"
 
     def test_base_keys_are_columns(self, spark, small_taxi, small_school):

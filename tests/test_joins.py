@@ -1,11 +1,11 @@
-"""Join-execution tests: pre-aggregation, key tables and the LEFT join
+"""Join-execution tests: key tables (the pre-aggregation) and the LEFT join
 that attaches them to the base rows — correctness checked against DuckDB
 via the oracle."""
 import pandas as pd
 import pytest
 
 from repro.core import arda
-from repro.joins.executor import key_table, preaggregate, prefix_columns
+from repro.joins.executor import key_table
 from repro.joins.plan import CandidateJoin
 from repro.oracle import assert_equivalent
 from repro.repository.repo import Scenario
@@ -44,30 +44,31 @@ def foreign(spark):
 
 class TestPreaggregate:
     def test_one_row_per_key(self, foreign):
-        out = preaggregate(foreign, ["fid"])
+        out = key_table(foreign, ["fid"], ["fid"], "F")
         assert out.count() == out.select("fid").distinct().count() == 3
 
     def test_numeric_mean_string_min_oracle(self, foreign):
-        out = preaggregate(foreign, ["fid"])
+        out = key_table(foreign, ["fid"], ["fid"], "F")
         assert_equivalent(
             out,
-            "SELECT fid, avg(v) AS v, min(c) AS c FROM f GROUP BY fid",
+            'SELECT fid, avg(v) AS "F__v", min(c) AS "F__c" FROM f GROUP BY fid',
             f=foreign)
 
     def test_composite_keys(self, spark):
         df = spark.createDataFrame(pd.DataFrame({
             "a": [1, 1, 2], "b": ["x", "x", "y"], "v": [1.0, 3.0, 5.0]}))
-        out = preaggregate(df, ["a", "b"])
+        out = key_table(df, ["a", "b"], ["a", "b"], "F")
         assert out.count() == 2
 
     def test_keys_only_table(self, spark):
         df = spark.createDataFrame(pd.DataFrame({"k": [1, 1, 2]}))
-        assert preaggregate(df, ["k"]).count() == 2
+        out = key_table(df, ["k"], ["id"], "F")
+        assert out.columns == ["id"] and out.count() == 2
 
 
 class TestPrefix:
     def test_prefixing(self, foreign):
-        out = prefix_columns(foreign, "T", exclude=["fid"])
+        out = key_table(foreign, ["fid"], ["fid"], "T")
         assert set(out.columns) == {"fid", "T__v", "T__c"}
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.ml import linear
 from repro.ml.linear import Lasso, LinearSVC, LogisticRegression, Ridge, Standardizer
 
 
@@ -69,9 +70,10 @@ class TestLasso:
         assert nnz <= 4
         assert set(np.argsort(np.abs(m.coef_))[::-1][:2]) == {0, 1}
 
-    def test_alpha_zero_close_to_ols(self, lin_data):
+    def test_alpha_zero_close_to_ols(self, lin_data, monkeypatch):
         X, y = lin_data
-        m = Lasso(alpha=1e-6, max_iter=2000).fit(X, y)
+        monkeypatch.setattr(linear, "_LASSO_MAX_ITER", 2000)
+        m = Lasso(alpha=1e-6).fit(X, y)
         r = Ridge(alpha=1e-6).fit(X, y)
         np.testing.assert_allclose(m.coef_, r.coef_, atol=0.02)
 

@@ -3,9 +3,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import arda
+from repro.joins.executor import align_time_tables, detect_granularity
 from repro.joins.impute import impute
-from repro.joins.resample import (GRANULARITIES, align_time_tables,
-                                  detect_granularity, resample_to)
+from repro.joins.plan import CandidateJoin
 from repro.oracle import assert_equivalent
 
 
@@ -38,42 +39,55 @@ class TestDetect:
         df = _ts(spark, ["2020-01-01", "2020-03-01"])
         assert detect_granularity(df, "t") == "month"
 
-    def test_order(self):
-        assert GRANULARITIES.index("day") < GRANULARITIES.index("hour")
+
+def _resampled(base, base_key, foreign, foreign_key):
+    """``foreign``'s key table on a soft ``foreign_key``: truncated to the
+    granularity of ``base_key`` and aggregated, its columns ``W__<name>``."""
+    cand = CandidateJoin("W", [base_key], [foreign_key], soft="nearest")
+    return arda.join_candidate(base, cand, foreign)
 
 
 class TestResample:
     def test_hourly_to_daily_mean_oracle(self, spark):
+        b = _ts(spark, ["2020-01-01", "2020-01-05"], col="d")
         df = _ts(spark, ["2020-01-01 03:00", "2020-01-01 09:00", "2020-01-02 12:00"],
                  extra={"w": [1.0, 3.0, 5.0]})
-        out = resample_to(df, "t", "day")
+        out = _resampled(b, "d", df, "t")
         assert_equivalent(
             out,
-            "SELECT date_trunc('day', t) AS t, avg(w) AS w FROM src GROUP BY 1",
+            """SELECT date_trunc('day', t) AS d, avg(w) AS "W__w"
+               FROM src GROUP BY 1""",
             src=df)
 
     def test_row_count_after_resample(self, spark):
+        b = _ts(spark, ["2020-01-01", "2020-01-05"], col="d")
         df = _ts(spark, ["2020-01-01 03:00", "2020-01-01 09:00", "2020-01-02 12:00"],
                  extra={"w": [1.0, 3.0, 5.0]})
-        assert resample_to(df, "t", "day").count() == 2
-
-    def test_unknown_granularity_raises(self, spark):
-        df = _ts(spark, ["2020-01-01"])
-        with pytest.raises(ValueError):
-            resample_to(df, "t", "fortnight")
+        assert _resampled(b, "d", df, "t").count() == 2
 
     def test_align_resamples_finer_foreign(self, spark):
         b = _ts(spark, ["2020-01-01", "2020-01-02"], col="d")
         f = _ts(spark, ["2020-01-01 03:00", "2020-01-01 09:00", "2020-01-02 12:00"],
                 col="ts", extra={"w": [1.0, 3.0, 5.0]})
-        out = align_time_tables(b, f, "d", "ts").toPandas().sort_values("ts")
-        assert out["w"].tolist() == [2.0, 5.0]
+        out = _resampled(b, "d", f, "ts").toPandas().sort_values("d")
+        assert out["W__w"].tolist() == [2.0, 5.0]
 
     def test_align_keeps_coarser_foreign(self, spark):
         b = _ts(spark, ["2020-01-01 03:00"], col="d")
         f = _ts(spark, ["2020-01-01"], col="ts", extra={"w": [1.0]})
         out = align_time_tables(b, f, "d", "ts")
         assert out.count() == 1 and set(out.columns) == {"ts", "w"}
+
+    def test_daily_foreign_on_hourly_base_unchanged(self, spark):
+        # truncating a daily key to the hour leaves it as it is, for
+        # timestamp and date keys alike
+        b = _ts(spark, ["2020-01-01 03:00", "2020-01-02 09:00"], col="d")
+        f = _ts(spark, ["2020-01-01", "2020-01-02", "2020-01-03"], col="ts",
+                extra={"w": [1.0, 2.0, 4.0]})
+        for foreign in (f, f.withColumn("ts", f["ts"].cast("date"))):
+            out = align_time_tables(b, foreign, "d", "ts")
+            assert out.schema == foreign.schema
+            pd.testing.assert_frame_equal(out.toPandas(), foreign.toPandas())
 
 
 class TestImpute:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.evaluate import Evaluator
-from repro.selectors import RANKERS, applicable, rank_scores
+from repro.selectors import RANKERS, applicable, rank_scores, relief, wrappers
 from repro.selectors.embedded import (lasso_scores, logistic_scores,
                                       random_forest_scores, svc_scores)
 from repro.selectors.relief import relief_scores
@@ -115,9 +115,10 @@ class TestRelief:
         w = relief_scores(X, y, "cls", seed=0)
         assert min(w[0], w[1]) > max(w[2], w[3])
 
-    def test_sample_size_cap(self, cls_data):
+    def test_sample_size_cap(self, cls_data, monkeypatch):
         X, y = cls_data
-        w = relief_scores(X, y, "cls", seed=0, sample_size=50)
+        monkeypatch.setattr(relief, "_SAMPLE_SIZE", 50)
+        w = relief_scores(X, y, "cls", seed=0)
         assert w.shape == (30,)
 
     def test_regression_variant(self, reg_data):
@@ -146,10 +147,11 @@ class TestWrappers:
         sel = forward_selection(ev, max_features=4, candidate_pool=8)
         assert len(sel) <= 4
 
-    def test_backward_keeps_signal(self, reg_data):
+    def test_backward_keeps_signal(self, reg_data, monkeypatch):
         X, y = reg_data
+        monkeypatch.setattr(wrappers, "_MAX_ROUNDS", 6)
         ev = Evaluator(X[:, :10], y, "reg", seed=0, n_trees=10)
-        sel = backward_elimination(ev, max_rounds=6)
+        sel = backward_elimination(ev)
         assert {0, 1} <= set(sel.tolist())
 
     def test_rfe_keeps_signal(self, reg_data):

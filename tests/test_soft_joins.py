@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core import arda
+from repro.experiments.common import load
 from repro.joins.plan import CandidateJoin
 from repro.joins.soft import soft_match
 from repro.repository.repo import Scenario
@@ -142,3 +143,20 @@ class TestTimestampKeys:
         out = augment(spark, pd.DataFrame({"t": [60.0, 120.0], "x": [1.0, 2.0]}),
                       pd.DataFrame({"k": [61.0, 100.0], "val": [10.0, 30.0]}), "nearest")
         assert out["W__val"].tolist() == [10.0, 30.0]
+
+
+class TestScenarioSoftKeys:
+    @pytest.mark.parametrize("name,table", [("taxi", "weather"),
+                                            ("pickup", "lga_weather")])
+    def test_resampled_table_holds_every_base_key(self, spark, name, table):
+        # Both scenario soft tables are finer than their base key, so once
+        # resampled every base key value is one of their keys: the soft
+        # match is an equality match (distance 0, lambda 1), and the
+        # floor/ceil arithmetic is reached only by the tests above.
+        sc = load(spark, name, quick=True)
+        cand = next(c for c in sc.candidates if c.table == table)
+        key = cand.base_keys[0]
+        keys = set(arda.join_candidate(sc.base, cand, sc.repo[table])
+                   .toPandas()[key])
+        base = set(sc.base.select(key).distinct().toPandas()[key])
+        assert base and base <= keys
