@@ -1,7 +1,6 @@
 """Time-granularity detection / resampling and imputation tests."""
 import numpy as np
 import pandas as pd
-import pytest
 
 from repro.core import arda
 from repro.joins.executor import align_time_tables, detect_granularity
