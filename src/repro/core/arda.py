@@ -6,12 +6,13 @@ selection (per batch) -> final estimate.
 Every join is a LEFT join onto a pre-aggregated, many-to-one table (§4),
 so a base row's joined values depend only on its key tuple. Spark reduces
 each candidate table to one row per key tuple, once per scenario and
-seed, and runs no join; the driver matches a soft key's values onto that
-table, LEFT-joins it onto the collected base rows by key and imputes
-them with full-base statistics (``AugmentedTable``, cached on the
-``Scenario``). A coreset is a row sample of that table, encoded
-once; a batch is a column slice of that matrix, and the final matrix an
-encoded column projection of the table.
+seed, and runs no join; those queries are collected concurrently
+(``joins.executor.collect_all``). In candidate order, the driver then
+matches a soft key's values onto each table, LEFT-joins it onto the
+collected base rows by key and imputes them with full-base statistics
+(``AugmentedTable``, cached on the ``Scenario``). A coreset is a row
+sample of that table, encoded once; a batch is a column slice of that
+matrix, and the final matrix an encoded column projection of the table.
 
 The pipeline is factored into three reusable pieces so experiment jobs
 can amortize the expensive parts across the many selectors they compare:
@@ -42,7 +43,7 @@ from repro.core.rifs import rifs_fractions, rifs_select
 from repro.core.search import exponential_search
 from repro.coreset.sampling import build_coreset
 from repro.coreset.sketch import sketch_dataset
-from repro.joins.executor import align_time_tables, key_table
+from repro.joins.executor import align_time_tables, collect_all, key_table
 from repro.joins.impute import impute
 from repro.joins.plan import CandidateJoin, make_plan
 from repro.joins.soft import soft_match
@@ -132,6 +133,12 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     as ``eqNullSafe`` does), so a row gets exactly what its key tuple
     gets, or NULLs when the table lacks that tuple. A soft key's table is
     first matched onto the base's distinct key values (``soft_match``).
+
+    The candidates' Spark round trips, ``join_candidate`` and its
+    collect, run concurrently (``collect_all``); everything after them
+    runs here, in candidate order, so the output does not depend on the
+    order the collects finish in. A failed round trip raises before any
+    candidate's columns are added to the cached table.
     """
     aug = scenario.augmented
     if aug is None or aug.seed != seed:
@@ -139,10 +146,13 @@ def _augment(scenario: Scenario, cands: list[CandidateJoin],
     new = [c for c in cands if c.table not in aug.tables]
     if not new:
         return aug
+    base = scenario.base
+    collected = collect_all(
+        base.sparkSession,
+        lambda cand: join_candidate(base, cand, scenario.repo[cand.table]), new)
     parts = []
-    for cand in new:
+    for cand, part in zip(new, collected):
         keys = cand.base_keys
-        part = join_candidate(scenario.base, cand, scenario.repo[cand.table]).toPandas()
         if cand.soft:
             part = soft_match(aug.frame[keys[0]], part, keys[0], cand.soft, seed)
         parts.append(aug.frame[keys].join(part.set_index(keys), on=keys,

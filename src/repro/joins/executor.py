@@ -13,6 +13,12 @@ no base rows and runs no join; ``repro.core.arda._augment`` collects it
 and attaches it to the base rows by key, after matching a soft key's
 values onto it (``repro.joins.soft``).
 
+``collect_all`` is the one place that collects many small queries at
+once: each builds and collects one candidate's query, and the driver's
+wait per query, not Spark work, dominates such a round trip, so it runs
+them on a pool of ``defaultParallelism`` threads. ``_augment`` and the
+Tuple-Ratio counts (``repro.selectors.tuple_ratio``) go through it.
+
 Time resampling (§4, "Time-Resampling"): when the base keys time at day
 granularity and the foreign table at hour or minute granularity, "all
 rows that correspond to the same day would be resampled (aggregated) in
@@ -22,11 +28,18 @@ the foreign key to the base key's granularity; ``key_table``'s
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence, TypeVar
+
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
+from pyspark.util import inheritable_thread_target
 
-__all__ = ["key_table", "detect_granularity", "align_time_tables"]
+__all__ = ["key_table", "collect_all", "detect_granularity", "align_time_tables"]
+
+Item = TypeVar("Item")
 
 # Spark types pre-aggregated by their mean (everything else by its min).
 NUMERIC_TYPES = (T.IntegerType, T.LongType, T.FloatType, T.DoubleType,
@@ -44,6 +57,21 @@ def key_table(foreign: DataFrame, foreign_keys: list[str], base_keys: list[str],
     if not aggs:
         return foreign.select(*keys).distinct()
     return foreign.groupBy(*keys).agg(*aggs)
+
+
+def collect_all(spark: SparkSession, build: Callable[[Item], DataFrame],
+                items: Sequence[Item]) -> list[pd.DataFrame]:
+    """``build(item).toPandas()`` for every item, in ``items`` order.
+
+    The round trips, plan and collect, run on a pool of
+    ``spark.sparkContext.defaultParallelism`` threads. Each thread runs
+    with the caller's local properties (job group, scheduler pool) and
+    tags, as captured here. The first failing item's exception is
+    raised, after the collects already running finish; the queued ones
+    are cancelled."""
+    collect = inheritable_thread_target(spark)(lambda item: build(item).toPandas())
+    with ThreadPoolExecutor(spark.sparkContext.defaultParallelism) as pool:
+        return list(pool.map(collect, items))
 
 
 def detect_granularity(df: DataFrame, col: str) -> str:

@@ -3,9 +3,14 @@
 These run the full coreset -> plan -> join -> select -> estimate loop on
 shrunken scenarios and assert the paper's qualitative claims: augmentation
 beats the baseline, RIFS prunes noise tables, every strategy runs, and the
-TR prefilter removes tables.
+TR prefilter removes tables. ``TestConcurrentCollects`` pins how the
+candidates' key tables are collected: concurrently, in a bounded pool, in
+the caller's job group, with results in candidate order.
 """
 import dataclasses
+import threading
+import time
+import warnings
 
 import numpy as np
 import pandas as pd
@@ -17,6 +22,7 @@ from repro.core.arda import (ArdaConfig, final_estimate, prepare_batches,
 from repro.joins.plan import CandidateJoin
 from repro.repository import datasets
 from repro.repository.repo import Scenario
+from repro.selectors.tuple_ratio import tuple_ratios
 
 
 @pytest.fixture(scope="module")
@@ -393,3 +399,125 @@ class TestFlatJoins:
         cols = ["tb__c", "tb__v"]
         assert both.frame[cols].isna().sum().sum() == 0
         pd.testing.assert_frame_equal(both.frame[cols], alone.frame[cols])
+
+
+def _table_of(frame: pd.DataFrame) -> str | None:
+    """The candidate table a collected key table came from, by its
+    ``<table>__`` column prefix (None for the base)."""
+    return next((c.split("__")[0] for c in frame.columns if "__" in c), None)
+
+
+class TestConcurrentCollects:
+    @staticmethod
+    def _patch_to_pandas(monkeypatch, sc: Scenario, wrap) -> None:
+        cls = type(sc.base)
+        monkeypatch.setattr(cls, "toPandas", wrap(cls.toPandas))
+
+    def test_results_in_candidate_order(self, spark, monkeypatch):
+        # earlier candidates' collects sleep longer, so they finish after
+        # later ones; the joined table is still exactly the undelayed one
+        sc = datasets.taxi(spark, n_days=90, n_zones=2)
+        assert any(c.soft for c in sc.candidates)
+        expected = arda._augment(dataclasses.replace(sc), sc.candidates, seed=0)
+        rank = {c.table: i for i, c in enumerate(sc.candidates)}
+        finished = []
+
+        def wrap(to_pandas):
+            def delayed(df):
+                out = to_pandas(df)
+                table = _table_of(out)
+                if table in rank:
+                    time.sleep(0.02 * (len(rank) - rank[table]))
+                    finished.append(rank[table])
+                return out
+            return delayed
+
+        self._patch_to_pandas(monkeypatch, sc, wrap)
+        got = arda._augment(dataclasses.replace(sc), sc.candidates, seed=0)
+        assert sorted(finished) == list(range(len(rank)))
+        assert finished != sorted(finished)  # the collects did finish out of order
+        pd.testing.assert_frame_equal(got.frame, expected.frame, check_exact=True)
+        assert got.source == expected.source and got.tables == expected.tables
+
+    def test_pool_bounded_by_default_parallelism(self, spark, monkeypatch):
+        sc = datasets.school_s(spark, n_schools=300)
+        lock = threading.Lock()
+        live, peak = [0], [0]
+
+        def wrap(to_pandas):
+            def counted(df):
+                with lock:
+                    live[0] += 1
+                    peak[0] = max(peak[0], live[0])
+                try:
+                    time.sleep(0.05)  # hold the slot so overlapping collects show
+                    return to_pandas(df)
+                finally:
+                    with lock:
+                        live[0] -= 1
+            return counted
+
+        self._patch_to_pandas(monkeypatch, sc, wrap)
+        arda._augment(sc, sc.candidates, seed=0)
+        parallelism = spark.sparkContext.defaultParallelism
+        assert min(2, parallelism) <= peak[0] <= parallelism
+        peak[0] = 0
+        tuple_ratios(300, sc.candidates, sc.repo)
+        assert min(2, parallelism) <= peak[0] <= parallelism
+
+    def test_collects_run_in_callers_job_group(self, spark, monkeypatch):
+        sc = datasets.school_s(spark, n_schools=300)
+        ctx = spark.sparkContext
+        groups = []
+
+        def wrap(to_pandas):
+            def recorded(df):
+                groups.append(ctx.getLocalProperty("spark.jobGroup.id"))
+                return to_pandas(df)
+            return recorded
+
+        self._patch_to_pandas(monkeypatch, sc, wrap)
+        tracker = ctx.statusTracker()
+        ctx.setJobGroup("g", "key tables")
+        try:
+            arda._augment(sc, sc.candidates, seed=0)
+        finally:
+            for prop in ("spark.jobGroup.id", "spark.job.description",
+                         "spark.job.interruptOnCancel"):
+                ctx.setLocalProperty(prop, None)
+        # the base's collect plus one per candidate, every one in the group
+        assert groups == ["g"] * (len(sc.candidates) + 1)
+        deadline = time.monotonic() + 10  # job events reach the tracker asynchronously
+        while not tracker.getJobIdsForGroup("g") and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert len(tracker.getJobIdsForGroup("g")) > 0
+
+    def test_failed_collect_leaves_cached_table(self, spark, monkeypatch):
+        sc = datasets.school_s(spark, n_schools=300)
+        aug = arda._augment(sc, sc.candidates[:3], seed=0)
+        frame, tables = aug.frame.copy(), set(aug.tables)
+        bad = sc.candidates[len(sc.candidates) // 2].table
+
+        class CollectFailed(RuntimeError):
+            pass
+
+        def wrap(to_pandas):
+            def failing(df):
+                out = to_pandas(df)
+                if _table_of(out) == bad:
+                    raise CollectFailed(bad)
+                return out
+            return failing
+
+        self._patch_to_pandas(monkeypatch, sc, wrap)
+        with pytest.raises(CollectFailed, match=bad):
+            prepare_batches(spark, sc, ArdaConfig(coreset_size=100,
+                                                  join_strategy="table"))
+        assert sc.augmented is aug and aug.tables == tables
+        pd.testing.assert_frame_equal(aug.frame, frame, check_exact=True)
+
+    def test_no_user_warning(self, spark):
+        sc = datasets.taxi(spark, n_days=30, n_zones=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            arda._augment(sc, sc.candidates, seed=0)
